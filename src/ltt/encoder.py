@@ -168,6 +168,14 @@ def _init_block(p: dict, prefix: str, d: int, mlp_ratio: float, rng, dtype):
     p[f"{prefix}.mlp.b2"] = np.zeros(d, dtype=dtype)
 
 
+def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """(B, T, D) and (B, K) indices -> (B, K, D), row b holding x[b, idx[b]]."""
+    b, t, d = x.shape
+    flat = (np.arange(b)[:, None] * t + idx).reshape(-1)
+    return T.reshape(T.index_select(T.reshape(x, (b * t, d)), flat, axis=0),
+                     (b, idx.shape[1], d))
+
+
 class ClipModel:
     """Frozen-by-default dual encoder. All weights live in a flat name->Parameter map."""
 
@@ -297,19 +305,23 @@ class ClipModel:
         x = x.transpose(0, 2, 4, 1, 3, 5)
         return np.ascontiguousarray(x.reshape(b, g * g, c * p * p), dtype=self.dtype)
 
-    def encode_image_batch(self, images, adapter_fn=None) -> tuple[Tensor, Tensor]:
-        """Full (unmasked) forward of a batch. Returns (cls B x D_e, tokens B x P x D_e)."""
+    def encode_image_batch(self, images, adapter_fn=None, keep=None) -> tuple[Tensor, Tensor]:
+        """Forward of a batch. Returns (cls B x D_e, tokens B x (K-1) x D_e).
+
+        keep, when given, is a (B, K) int array of the tokens each row keeps:
+        0 is the class token and 1 + j is patch j. Positions are added before
+        the gather. Without it every row keeps all 1 + P tokens.
+        """
         imgs = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=self.dtype)
         self._check_image_shape(imgs)
-        return self._forward_image(self.patchify(imgs), keep=None, adapter_fn=adapter_fn)
+        return self._forward_image(self.patchify(imgs), keep, adapter_fn)
 
     def encode_image(self, image, mask=None, adapter_fn=None) -> tuple[Tensor, Tensor]:
         """Single image, optionally dropping the given patch indices.
 
-        The class token is never dropped; positions are added before removal.
+        The one-row case of encode_image_batch; the class token is never dropped.
         """
         img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=self.dtype)
-        self._check_image_shape(img[None])
         keep = None
         if mask is not None:
             pcount = self.vit.num_patches
@@ -317,8 +329,8 @@ class ClipModel:
             if dropped and (dropped[0] < 0 or dropped[-1] >= pcount):
                 raise ValueError(f"mask index out of range for {pcount} patches")
             dropset = set(dropped)
-            keep = [0] + [1 + j for j in range(pcount) if j not in dropset]
-        cls, toks = self._forward_image(self.patchify(img[None]), keep, adapter_fn)
+            keep = [[0] + [1 + j for j in range(pcount) if j not in dropset]]
+        cls, toks = self.encode_image_batch(img[None], adapter_fn, keep)
         return (T.reshape(cls, (self.vit.out_dim,)),
                 T.reshape(toks, (toks.shape[1], self.vit.out_dim)))
 
@@ -336,7 +348,12 @@ class ClipModel:
         x = T.concat([cls, x], axis=1)
         x = T.add(x, self._p("img.pos"))
         if keep is not None:
-            x = T.index_select(x, keep, axis=1)
+            n = x.shape[1]
+            keep = np.asarray(keep, dtype=np.int64)
+            if (keep.ndim != 2 or keep.shape[0] != b
+                    or keep.min(initial=0) < 0 or keep.max(initial=0) >= n):
+                raise ValueError(f"keep must be a ({b}, K) array of token indices in [0, {n})")
+            x = gather_rows(x, keep)
         for i in range(self.vit.num_layers):
             x = self._block(x, f"img.layers.{i}", self.vit.num_heads, adapter_fn)
         x = T.layer_norm(x, self._p("img.ln_f.g"), self._p("img.ln_f.b"))

@@ -8,7 +8,7 @@ identity on the model output. The base weights are never written.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,9 +54,8 @@ class LoraConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LoraConfig":
-        return cls(rank=obj.get("rank", 16), scale=obj.get("scale", 2.0),
-                   matrices=tuple(obj.get("matrices", MATRIX_TAGS)),
-                   layers=tuple(obj.get("layers", ())))
+        # a missing key takes the dataclass default
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 class LoraAdapter:
@@ -118,8 +117,8 @@ class AdaptedEncoder:
         li = int(prefix.split(".")[2]) + 1
         return self.adapters.get((li, matrix[-1]))
 
-    def encode_image_batch(self, images):
-        return self.model.encode_image_batch(images, adapter_fn=self._adapter_fn)
+    def encode_image_batch(self, images, keep=None):
+        return self.model.encode_image_batch(images, adapter_fn=self._adapter_fn, keep=keep)
 
     def encode_image(self, image, mask=None):
         return self.model.encode_image(image, mask=mask, adapter_fn=self._adapter_fn)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -147,9 +146,3 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     buf = io.BytesIO()
     dump_tensor(buf, arr)
     return buf.getvalue()
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

@@ -12,13 +12,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, asdict
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import ClipModel, TextFeatureTable, classify_batch, contrastive_loss
+from .encoder import (ClipModel, TextFeatureTable, classify_batch, contrastive_loss,
+                      gather_rows)
 from .lora import AdaptedEncoder, LoraConfig, attach
 from .optim import AdamW, Parameter
 from .tensor import Tape, Tensor, backward, no_grad
@@ -63,6 +63,12 @@ class TttConfig:
             raise ValueError(f"cutoff must be in (0, 1], got {self.cutoff}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.num_views < 1:
+            raise ValueError(f"num_views must be >= 1, got {self.num_views}")
+        if not (0.0 <= self.mask_ratio < 1.0):
+            raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
+        if not (self.lr >= 0 and self.wd >= 0):  # also rejects NaN
+            raise ValueError(f"lr and wd must be >= 0, got lr={self.lr} wd={self.wd}")
         if self.lam_mem < 0 or self.lam_mae < 0:
             raise ValueError("loss weights must be >= 0")
         # single-loss variants pin the other weight to zero
@@ -82,16 +88,6 @@ class TttConfig:
         lora = obj.pop("lora", None)
         cfg = cls(**obj) if lora is None else cls(lora=LoraConfig.from_json(lora), **obj)
         return cfg
-
-
-@dataclass
-class PredictionDistribution:
-    probs: np.ndarray
-    entropy: float
-
-    @classmethod
-    def from_probs(cls, probs: np.ndarray) -> "PredictionDistribution":
-        return cls(probs, entropy_np(probs))
 
 
 @dataclass
@@ -161,7 +157,8 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
     """Reconstruction loss between masked and unmasked encodings.
 
     class_token: MSE of the projected class embeddings. visual_tokens: MSE
-    over the token positions kept by the mask. One fresh mask per view.
+    over the token positions kept by the mask. One fresh mask per view; the
+    k masked views go through the encoder as one batch.
     When the unmasked embeddings are not supplied they are computed here
     with the same adapters (gradients flow through both branches unless
     detach_target is set).
@@ -182,28 +179,26 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
         if stats is not None:
             stats["full_views"] = stats.get("full_views", 0) + k
             stats["tokens"] = stats.get("tokens", 0) + k * (1 + p_total)
-    terms = []
-    for j in range(k):
-        spec = sample_mask(p_total, mask_ratio, rng)
-        kept = np.setdiff1d(np.arange(p_total), spec.masked_indices)
-        if recon_target == "visual_tokens" and kept.size == 0:
-            raise ValueError("mask leaves zero unmasked patches for visual_tokens target")
-        cls_m, tok_m = encoder.encode_image(selected_views[j], mask=spec.masked_indices)
-        if stats is not None:
-            stats["masked_views"] = stats.get("masked_views", 0) + 1
-            stats["masked_tokens"] = stats.get("masked_tokens", 0) + 1 + kept.size
-            stats["tokens"] = stats.get("tokens", 0) + 1 + kept.size
-        if recon_target == "class_token":
-            target = T.reshape(T.index_select(unmasked_cls, [j], axis=0), cls_m.shape)
-        else:
-            row = T.reshape(T.index_select(unmasked_tokens, [j], axis=0),
-                            (p_total, tok_m.shape[-1]))
-            target = T.index_select(row, kept, axis=0)
-        if detach_target:
-            target = target.detach()
-        terms.append(T.mse(cls_m, target) if recon_target == "class_token"
-                     else T.mse(tok_m, target))
-    return T.mul(reduce(T.add, terms), 1.0 / k)
+    # every mask drops floor(ratio*P) patches, so the k masked views form one
+    # rectangular batch of K = 1 + kept tokens each
+    masks = [sample_mask(p_total, mask_ratio, rng).masked_indices for _ in range(k)]
+    kept = np.stack([np.setdiff1d(np.arange(p_total), m) for m in masks])
+    if recon_target == "visual_tokens" and kept.shape[1] == 0:
+        raise ValueError("mask leaves zero unmasked patches for visual_tokens target")
+    keep = np.concatenate([np.zeros((k, 1), dtype=np.int64), 1 + kept], axis=1)
+    cls_m, tok_m = encoder.encode_image_batch(selected_views, keep=keep)
+    if stats is not None:
+        stats["masked_views"] = stats.get("masked_views", 0) + k
+        stats["masked_tokens"] = stats.get("masked_tokens", 0) + keep.size
+        stats["tokens"] = stats.get("tokens", 0) + keep.size
+    if recon_target == "class_token":
+        pred, target = cls_m, unmasked_cls
+    else:
+        pred, target = tok_m, gather_rows(unmasked_tokens, kept)
+    if detach_target:
+        target = target.detach()
+    # every view has the same element count, so this is the mean of the per-view MSEs
+    return T.mse(pred, target)
 
 
 def total_loss(l_mem, l_mae, lam1: float, lam2: float):
@@ -228,11 +223,8 @@ class FullTuneEncoder:
         for name in self.names:
             model.params[name].set_trainable(True)
 
-    def encode_image_batch(self, images):
-        return self.model.encode_image_batch(images)
-
-    def encode_image(self, image, mask=None):
-        return self.model.encode_image(image, mask=mask)
+    def encode_image_batch(self, images, keep=None):
+        return self.model.encode_image_batch(images, keep=keep)
 
     def trainable_params(self) -> list[Parameter]:
         return [self.model.params[name] for name in self.names]
@@ -256,11 +248,8 @@ class ZeroShotEncoder:
     def __init__(self, model: ClipModel):
         self.model = model
 
-    def encode_image_batch(self, images):
-        return self.model.encode_image_batch(images)
-
-    def encode_image(self, image, mask=None):
-        return self.model.encode_image(image, mask=mask)
+    def encode_image_batch(self, images, keep=None):
+        return self.model.encode_image_batch(images, keep=keep)
 
     def trainable_params(self) -> list[Parameter]:
         return []

@@ -124,6 +124,19 @@ def test_exit_codes(workspace, tmp_path):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("bad", [{"num_views": 0}, {"mask_ratio": 1.5}, {"lr": -1}])
+def test_run_rejects_bad_ttt_config(workspace, tmp_path, capsys, bad):
+    (tmp_path / "ttt.json").write_text(json.dumps(bad))
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"),
+                 "--data", str(workspace / "data"), "--mode", "lora-ttt",
+                 "--config", str(tmp_path / "ttt.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "episodes.jsonl").exists()
+
+
 def test_console_entry_point(workspace):
     proc = subprocess.run(
         [sys.executable, "-m", "ltt.cli", "report",

@@ -6,7 +6,9 @@ import pytest
 from ltt import tensor as T
 from ltt.encoder import (ClipModel, TextFeatureTable, build_text_table, classify,
                          contrastive_loss)
+from ltt.lora import LoraConfig, attach
 from ltt.tensor import Tensor
+from ltt.views import sample_mask
 
 
 def rand_image(rng, size=32):
@@ -65,6 +67,33 @@ def test_batch_matches_single(tiny_model):
     for i in range(3):
         cls_s, _ = tiny_model.encode_image(imgs[i])
         assert np.allclose(cls_b.data[i], cls_s.data, atol=1e-5)
+
+
+def test_batched_keep_rows_match_single_masked_views(tiny_model):
+    rng = np.random.default_rng(5)
+    adapted = attach(tiny_model, LoraConfig(rank=2), rng)
+    for ad in adapted.adapters.values():
+        ad.b.value.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
+    imgs = np.stack([rand_image(rng) for _ in range(4)])
+    masks = [sample_mask(16, 0.5, rng).masked_indices for _ in range(4)]
+    keep = np.stack([np.concatenate([[0], 1 + np.setdiff1d(np.arange(16), m)])
+                     for m in masks])
+    cls_b, toks_b = adapted.encode_image_batch(imgs, keep=keep)
+    assert toks_b.shape == (4, 8, tiny_model.vit.out_dim)
+    for j in range(4):
+        cls_s, toks_s = adapted.encode_image(imgs[j], mask=masks[j])
+        assert np.array_equal(cls_b.data[j], cls_s.data)
+        assert np.array_equal(toks_b.data[j], toks_s.data)
+
+
+def test_keep_shape_and_range_errors(tiny_model):
+    imgs = np.zeros((2, 3, 32, 32), np.float32)
+    with pytest.raises(ValueError, match="keep"):
+        tiny_model.encode_image_batch(imgs, keep=[[0, 1, 2]])  # one row for two images
+    with pytest.raises(ValueError, match="keep"):
+        tiny_model.encode_image_batch(imgs, keep=[[0, 17], [0, 1]])  # 1 + P = 17 tokens
+    with pytest.raises(ValueError, match="keep"):
+        tiny_model.encode_image_batch(imgs, keep=[0, 1])
 
 
 # ---------------------------------------------------------------------------

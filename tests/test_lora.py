@@ -130,6 +130,11 @@ def test_config_json_round_trip():
     assert LoraConfig.from_json(obj) == cfg
 
 
+def test_config_json_missing_keys_take_defaults():
+    assert LoraConfig.from_json({}) == LoraConfig()
+    assert LoraConfig.from_json({"rank": 4}) == LoraConfig(rank=4)
+
+
 def test_kaiming_uniform_bound(tiny_model):
     adapted = attach(tiny_model, LoraConfig(rank=8), np.random.default_rng(20))
     bound = 1.0 / np.sqrt(tiny_model.vit.embed_dim)

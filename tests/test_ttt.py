@@ -12,7 +12,7 @@ from ltt.ttt import (EpisodeResult, FullTuneEncoder, Instance, TttConfig,
                      build_encoder_for_mode, entropy_np, episode_rng, lora_pretrain,
                      mae_loss, mem_loss, run_episode, run_stream, select_confident,
                      total_loss)
-from ltt.views import normalize
+from ltt.views import normalize, sample_mask
 
 from conftest import build_tiny_model
 
@@ -149,6 +149,47 @@ def test_mae_loss_deterministic_given_seed(setup):
     assert c == d
 
 
+def nonzero_adapters(model):
+    adapted = attach(model, LoraConfig(rank=2), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for ad in adapted.adapters.values():
+        ad.b.value.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
+    return adapted
+
+
+def test_mae_loss_draws_one_mask_per_view(setup):
+    model, _, items = setup
+    views = np.stack([normalize(it.image, model.norm_mean, model.norm_std)
+                      for it in items[:3]])
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    mae_loss(nonzero_adapters(model), views, 0.5, "class_token", rng)
+    for _ in range(3):
+        sample_mask(model.vit.num_patches, 0.5, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("target", ["class_token", "visual_tokens"])
+def test_mae_loss_is_mean_of_per_view_mses(setup, target):
+    model, _, items = setup
+    adapted = nonzero_adapters(model)
+    views = np.stack([normalize(it.image, model.norm_mean, model.norm_std)
+                      for it in items[:4]])
+    loss = mae_loss(adapted, views, 0.5, target, np.random.default_rng(9)).item()
+    rng = np.random.default_rng(9)
+    p_total = model.vit.num_patches
+    cls_u, tok_u = adapted.encode_image_batch(views)
+    terms = []
+    for j in range(len(views)):
+        masked = sample_mask(p_total, 0.5, rng).masked_indices
+        cls_m, tok_m = adapted.encode_image(views[j], mask=masked)
+        if target == "class_token":
+            diff = cls_m.data - cls_u.data[j]
+        else:
+            diff = tok_m.data - tok_u.data[j][np.setdiff1d(np.arange(p_total), masked)]
+        terms.append(np.mean(diff.astype(np.float64) ** 2))
+    assert loss == pytest.approx(np.mean(terms), rel=1e-6)
+
+
 def test_mae_loss_empty_selection(setup):
     model, _, _ = setup
     adapted = attach(model, LoraConfig(rank=2), np.random.default_rng(0))
@@ -262,6 +303,18 @@ def test_all_adapt_modes_run_and_reset(setup, mode):
     if isinstance(encoder, FullTuneEncoder):
         encoder.finish()
     assert base_weight_hash(model) == before
+
+
+def test_tape_nodes_do_not_grow_with_selected_views(setup):
+    model, table, items = setup
+    nodes = []
+    for cutoff in (2 / 16, 6 / 16):  # k = 2 and k = 6 of 16 views
+        cfg = small_cfg(cutoff=cutoff)
+        encoder = build_encoder_for_mode(model, cfg)
+        ep = run_episode(items[3], encoder, table, cfg, episode_rng(cfg.seed, items[3].id))
+        assert ep.recorded_masked_views == len(ep.selected)
+        nodes.append(ep.peak_tape_nodes)
+    assert nodes[0] == nodes[1]
 
 
 def test_detach_target_episode_runs(setup):
@@ -472,3 +525,13 @@ def test_config_validation_errors():
         TttConfig(steps=0)
     with pytest.raises(ValueError, match="recon"):
         TttConfig(recon_target="pixels")
+    with pytest.raises(ValueError, match="num_views"):
+        TttConfig(num_views=0)
+    for ratio in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="mask_ratio"):
+            TttConfig(mask_ratio=ratio)
+    for bad in ({"lr": -1.0}, {"wd": -0.1}, {"lr": float("nan")}):
+        with pytest.raises(ValueError, match="lr and wd"):
+            TttConfig(**bad)
+    # zero lr and zero masking stay valid
+    TttConfig(lr=0.0, wd=0.0, mask_ratio=0.0, num_views=1)
