@@ -15,6 +15,7 @@ from .encoder import ClipModel, TextFeatureTable, VitConfig
 from .lora import LoraConfig
 from .metrics import report_csv_rows
 from .pretrain import embed_text, pretrain
+from .serial import config_from_json
 from .ttt import TttConfig, lora_pretrain, run_stream
 
 CLI_MODES = {
@@ -29,13 +30,16 @@ CLI_MODES = {
 def _load_json(path) -> dict:
     with open(path) as f:
         try:
-            return json.load(f)
+            obj = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"invalid JSON in {path}: {e}") from e
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return obj
 
 
 def cmd_gen_data(args) -> int:
-    spec = SyntheticShiftSpec.from_json(_load_json(args.spec)) if args.spec \
+    spec = config_from_json(SyntheticShiftSpec, _load_json(args.spec)) if args.spec \
         else SyntheticShiftSpec()
     manifest = generate(spec, args.out)
     print(f"wrote {len(manifest.items)} items across splits {manifest.splits()} "
@@ -44,7 +48,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    vit_cfg = VitConfig(**_load_json(args.config)) if args.config else VitConfig()
+    vit_cfg = config_from_json(VitConfig, _load_json(args.config)) if args.config else VitConfig()
     model, losses = pretrain(args.data, vit_cfg, epochs=args.epochs, seed=args.seed)
     model.save(args.out)
     print(f"pretrained {args.epochs} epochs, final loss {losses[-1]:.4f}, "
@@ -61,7 +65,7 @@ def cmd_embed_text(args) -> int:
 def cmd_lora_pretrain(args) -> int:
     model = ClipModel.load(args.ckpt)
     pairs = load_pairs(args.data, "train")
-    lora_cfg = LoraConfig.from_json(_load_json(args.lora)) if args.lora else LoraConfig()
+    lora_cfg = config_from_json(LoraConfig, _load_json(args.lora)) if args.lora else LoraConfig()
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x10AD]))
     encoder, losses = lora_pretrain(model, pairs, args.epochs, rng, lora_cfg,
                                     lr=args.lr)
@@ -78,7 +82,7 @@ def cmd_run(args) -> int:
     cfg_obj["mode"] = CLI_MODES[args.mode]
     if args.seed is not None:
         cfg_obj["seed"] = args.seed
-    cfg = TttConfig.from_json(cfg_obj)
+    cfg = config_from_json(TttConfig, cfg_obj)
     items = load_split(args.data, args.split)
     report = run_stream(items, model, table, cfg, dataset_name=args.split,
                         adapters_path=args.adapters)

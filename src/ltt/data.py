@@ -55,19 +55,6 @@ class SyntheticShiftSpec:
         if not (0 <= self.severity <= 5):
             raise ValueError(f"severity must be in 0..5, got {self.severity}")
 
-    def to_json(self) -> dict:
-        return {"num_classes": self.num_classes, "train_per_class": self.train_per_class,
-                "test_per_class": self.test_per_class, "image_size": self.image_size,
-                "shift_kinds": list(self.shift_kinds), "severity": self.severity,
-                "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SyntheticShiftSpec":
-        obj = dict(obj)
-        if "shift_kinds" in obj:
-            obj["shift_kinds"] = tuple(obj["shift_kinds"])
-        return cls(**obj)
-
 
 def class_definitions(k: int) -> list[tuple[str, str]]:
     """Deterministic (color, shape) pairs; shapes and colors repeat across
@@ -308,17 +295,25 @@ def generate(spec: SyntheticShiftSpec, out_dir) -> DatasetManifest:
     return manifest
 
 
+def _read_image(root: Path, item: dict) -> np.ndarray:
+    # a NaN pixel would otherwise reach the episode and poison the run's ECE
+    img = read_tensor(root / item["path"])
+    if not np.isfinite(img).all():
+        raise ValueError(f"item {item['id']!r} has non-finite pixels")
+    return img
+
+
 def load_split(data_dir, split: str) -> list[Instance]:
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
     rows = manifest.items_for_split(split)
     if not rows:
         raise ValueError(f"no items in split {split!r} (have {manifest.splits()})")
-    return [Instance(it["id"], read_tensor(root / it["path"]), it["label"]) for it in rows]
+    return [Instance(it["id"], _read_image(root, it), it["label"]) for it in rows]
 
 
 def load_pairs(data_dir, split: str = "train") -> list[tuple[np.ndarray, str]]:
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
     rows = manifest.items_for_split(split)
-    return [(read_tensor(root / it["path"]), it["caption"]) for it in rows]
+    return [(_read_image(root, it), it["caption"]) for it in rows]

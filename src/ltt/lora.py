@@ -8,7 +8,7 @@ identity on the model output. The base weights are never written.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,6 @@ class LoraConfig:
             if not (1 <= i <= num_layers):
                 raise ValueError(f"layer index {i} out of range 1..{num_layers}")
         return tuple(sorted(set(layers)))
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "scale": self.scale,
-                "matrices": list(self.matrices), "layers": list(self.layers)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LoraConfig":
-        # a missing key takes the dataclass default
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 class LoraAdapter:

@@ -1,4 +1,4 @@
-"""Accuracy, expected calibration error, and resource accounting."""
+"""Accuracy, expected calibration error, and the report CSV."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import lora
 
 REPORT_FIELDS = ("mode", "dataset", "seed", "top1", "ece", "mean_mem_loss",
                  "mean_mae_loss", "trainable_params", "median_episode_ms")
@@ -64,31 +62,6 @@ def ece(confidences, correct_flags, num_bins: int = 20) -> EceReport:
         accs.append(a)
         total_gap += (cnt / m) * abs(a - c)
     return EceReport(num_bins, counts, confs, accs, m, total_gap)
-
-
-def resource_report(cfg, model, episodes) -> dict:
-    """Parameter counts plus tape/time figures from executed episodes."""
-    if cfg.mode == "zero_shot":
-        trainable = 0
-    elif cfg.mode == "full_tune":
-        n = model.vit.num_layers
-        trainable = sum(
-            model.params[f"img.layers.{i}.attn.{t}"].data.size
-            for i in (n - 2, n - 1)
-            for t in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
-    else:
-        trainable = lora.trainable_parameter_count(cfg.lora, model.vit.embed_dim,
-                                                   model.vit.num_layers)
-    total = sum(p.data.size for p in model.param_list()) + \
-        (trainable if cfg.mode not in ("zero_shot", "full_tune") else 0)
-    wall = [ep.wall_ms for ep in episodes]
-    peak = max((ep.peak_tape_nodes for ep in episodes), default=0)
-    return {
-        "trainable_params": int(trainable),
-        "total_params": int(total),
-        "peak_tape_nodes": int(peak),
-        "wall_ms_per_episode": float(np.median(wall)) if wall else 0.0,
-    }
 
 
 def report_csv_rows(reports: list[dict]) -> str:

@@ -1,4 +1,5 @@
-"""Binary file formats: LTTF tensors, LTTW checkpoints, LTTC text tables.
+"""Binary file formats: LTTF tensors, LTTW checkpoints, LTTC text tables;
+and the JSON loader for config dataclasses.
 
 All integers little-endian. LTTF: magic, version 0x01, dtype byte
 (0=f32, 1=f64), rank byte, rank u32 extents, row-major payload.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import io
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -146,3 +148,33 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     buf = io.BytesIO()
     dump_tensor(buf, arr)
     return buf.getvalue()
+
+
+def config_from_json(cls, obj):
+    """Build the config dataclass `cls` from a parsed JSON object.
+
+    A missing key takes the dataclass default. An unknown key, or a value
+    whose JSON type differs from its field's default, raises ValueError; an
+    int is accepted for a float and a list for a tuple. A field whose
+    default is itself a config dataclass is built from a nested object.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    defaults = cls()
+    kwargs = {}
+    for name, value in obj.items():
+        default = getattr(defaults, name)
+        if is_dataclass(default):
+            value = config_from_json(type(default), value)
+        elif isinstance(default, float) and type(value) is int:
+            value = float(value)
+        elif isinstance(default, tuple) and isinstance(value, list):
+            value = tuple(value)
+        elif type(value) is not type(default):  # bool is not taken for int
+            raise ValueError(f"{cls.__name__}.{name} must be {type(default).__name__}, "
+                             f"got {type(value).__name__}")
+        kwargs[name] = value
+    return cls(**kwargs)

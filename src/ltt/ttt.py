@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -30,15 +31,7 @@ RECON_TARGETS = ("class_token", "visual_tokens")
 
 @dataclass
 class TttConfig:
-    """Episode settings, one per run.
-
-    detach_target applies to lora_ttt_a only. False (the default)
-    re-encodes the selected views on the tape, so the reconstruction target
-    carries gradient, which keeps that variant close to the zero-shot
-    calibration; True reuses their rows of the no-grad selection forward.
-    The combined path (lora_ttt, full_tune, lora_ttt_m) always detaches its
-    target, see run_episode.
-    """
+    """Episode settings, one per run."""
 
     mode: str = "lora_ttt"
     lam_mem: float = 1.0
@@ -50,7 +43,6 @@ class TttConfig:
     steps: int = 1
     lr: float = 0.001
     wd: float = 0.2
-    detach_target: bool = False
     seed: int = 0
     lora: LoraConfig = field(default_factory=LoraConfig)
 
@@ -76,18 +68,9 @@ class TttConfig:
             self.lam_mae = 0.0
         elif self.mode == "lora_ttt_a":
             self.lam_mem = 0.0
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["lora"] = self.lora.to_json()
-        return d
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TttConfig":
-        obj = dict(obj)
-        lora = obj.pop("lora", None)
-        cfg = cls(**obj) if lora is None else cls(lora=LoraConfig.from_json(lora), **obj)
-        return cfg
+            if self.lam_mae == 0:
+                raise ValueError("lora_ttt_a trains on the reconstruction loss alone, "
+                                 "so lam_mae must be > 0")
 
 
 @dataclass
@@ -165,9 +148,8 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
 
     The default stays False so that the function on its own is the plain
     MSE of two encodings, differentiable in both (the gradient check relies
-    on this). run_episode's combined path passes True: its target rows come
-    from the 64-view forward and would otherwise be dragged toward their
-    masked copies.
+    on this). run_episode's combined path passes True; lora_ttt_a keeps its
+    target on the tape.
     """
     k = selected_views.shape[0]
     if k < 1:
@@ -244,26 +226,9 @@ class FullTuneEncoder:
             self.model.params[name].set_trainable(False)
 
 
-class ZeroShotEncoder:
-    def __init__(self, model: ClipModel):
-        self.model = model
-
-    def encode_image_batch(self, images, keep=None):
-        return self.model.encode_image_batch(images, keep=keep)
-
-    def trainable_params(self) -> list[Parameter]:
-        return []
-
-    def trainable_count(self) -> int:
-        return 0
-
-    def reset(self, rng=None):
-        pass
-
-
 def build_encoder_for_mode(model: ClipModel, cfg: TttConfig):
     if cfg.mode == "zero_shot":
-        return ZeroShotEncoder(model)
+        return model
     if cfg.mode == "full_tune":
         return FullTuneEncoder(model)
     return attach(model, cfg.lora, np.random.default_rng(cfg.seed))
@@ -308,64 +273,41 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     stats: dict = {}
     step_losses: list = []
     selected: list[int] = []
+    # lora_ttt_a selects on a no-grad forward and re-encodes its target on
+    # the tape. The combined path takes its target from the tracked forward
+    # as fixed data, as in MAE: with gradient on both sides, the rows the
+    # entropy loss sharpens would be pulled toward their masked copies.
+    combined = cfg.mode != "lora_ttt_a"
     for _ in range(cfg.steps):
         for p in trainables:
             p.zero_grad()
-        if cfg.mode == "lora_ttt_a":
-            # selection pass carries no gradients; only selected views are re-encoded
-            with no_grad():
+        with Tape() as tape:
+            with nullcontext() if combined else no_grad():
                 cls_all, tok_all = encoder.encode_image_batch(batch.views)
-                probs_all = classify_batch(cls_all, table, tau).data
-            selected = select_confident(probs_all, cfg.cutoff)
-            sel_views = batch.views[selected]
-            with Tape() as tape:
-                if cfg.detach_target:
-                    unm_cls: Tensor | None = Tensor(cls_all.data[selected])
-                    unm_tok = (Tensor(tok_all.data[selected])
-                               if cfg.recon_target == "visual_tokens" else None)
-                else:
-                    unm_cls, unm_tok = encoder.encode_image_batch(sel_views)
-                    stats["full_views"] = stats.get("full_views", 0) + len(selected)
-                    stats["tokens"] = stats.get("tokens", 0) + len(selected) * (1 + p_total)
-                l_mae = mae_loss(encoder, sel_views, cfg.mask_ratio, cfg.recon_target,
-                                 rng, unmasked_cls=unm_cls, unmasked_tokens=unm_tok,
-                                 stats=stats)
-                l_mem_val = None
-                loss = total_loss(Tensor(np.zeros((), dtype=l_mae.dtype)), l_mae,
-                                  cfg.lam_mem, cfg.lam_mae)
-                backward(loss)
-            l_mae_val = float(l_mae.data)
-            total_val = float(loss.data)
-        else:
-            with Tape() as tape:
-                cls_all, tok_all = encoder.encode_image_batch(batch.views)
+                probs_t = classify_batch(cls_all, table, tau)
+            selected = select_confident(probs_t.data, cfg.cutoff)
+            l_mem = l_mae = None
+            if combined:
                 stats["full_views"] = stats.get("full_views", 0) + cfg.num_views
                 stats["tokens"] = stats.get("tokens", 0) + cfg.num_views * (1 + p_total)
-                probs_t = classify_batch(cls_all, table, tau)
-                selected = select_confident(probs_t.data, cfg.cutoff)
-                sel_probs = T.index_select(probs_t, selected, axis=0)
-                l_mem = mem_loss(sel_probs)
-                l_mem_val = float(l_mem.data)
-                if cfg.lam_mae > 0:
-                    # the target is fixed data, as in MAE: with gradient on
-                    # both sides, the rows the entropy loss sharpens would be
-                    # pulled toward their less informative masked copies
+                l_mem = mem_loss(T.index_select(probs_t, selected, axis=0))
+            if cfg.lam_mae > 0:
+                unm_cls = unm_tok = None
+                if combined:
                     unm_cls = T.index_select(cls_all, selected, axis=0)
-                    unm_tok = (T.index_select(tok_all, selected, axis=0)
-                               if cfg.recon_target == "visual_tokens" else None)
-                    l_mae = mae_loss(encoder, batch.views[selected], cfg.mask_ratio,
-                                     cfg.recon_target, rng, unmasked_cls=unm_cls,
-                                     unmasked_tokens=unm_tok,
-                                     detach_target=True, stats=stats)
-                    l_mae_val = float(l_mae.data)
-                else:
-                    l_mae = Tensor(np.zeros((), dtype=l_mem.dtype))
-                    l_mae_val = None
-                loss = total_loss(l_mem, l_mae, cfg.lam_mem, cfg.lam_mae)
-                backward(loss)
-            total_val = float(loss.data)
+                    if cfg.recon_target == "visual_tokens":
+                        unm_tok = T.index_select(tok_all, selected, axis=0)
+                l_mae = mae_loss(encoder, batch.views[selected], cfg.mask_ratio,
+                                 cfg.recon_target, rng, unmasked_cls=unm_cls,
+                                 unmasked_tokens=unm_tok, detach_target=combined,
+                                 stats=stats)
+            zero = Tensor(np.zeros((), dtype=(l_mae if l_mem is None else l_mem).dtype))
+            loss = total_loss(zero if l_mem is None else l_mem,
+                              zero if l_mae is None else l_mae, cfg.lam_mem, cfg.lam_mae)
+            backward(loss)
         peak_nodes = max(peak_nodes, tape.num_nodes)
-        step_losses.append([l_mem_val, l_mae_val, total_val])
+        step_losses.append([None if l_mem is None else float(l_mem.data),
+                            None if l_mae is None else float(l_mae.data), float(loss.data)])
         opt.step(trainables)
 
     view0 = batch.views[0]

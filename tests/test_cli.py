@@ -1,11 +1,14 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ltt.cli import main
+from ltt.serial import read_tensor, write_tensor
 
 PKG = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,12 +122,18 @@ def test_exit_codes(workspace, tmp_path):
     assert main(["gen-data", "--spec", str(bad_json), "--out", str(tmp_path / "d")]) == 1
     missing = tmp_path / "missing.json"
     assert main(["gen-data", "--spec", str(missing), "--out", str(tmp_path / "d")]) == 2
+    bad_model = tmp_path / "model.json"
+    bad_model.write_text(json.dumps({"embed_dims": 32}))
+    assert main(["pretrain", "--data", str(workspace / "data"), "--config", str(bad_model),
+                 "--out", str(tmp_path / "model.lttw")]) == 1
     # bad usage is a validation error, not an I/O error
     assert main(["run", "--mode", "bogus"]) == 1
     assert main(["--help"]) == 0
 
 
-@pytest.mark.parametrize("bad", [{"num_views": 0}, {"mask_ratio": 1.5}, {"lr": -1}])
+@pytest.mark.parametrize("bad", [{"num_views": 0}, {"mask_ratio": 1.5}, {"lr": -1},
+                                 {"num_view": 8}, {"lora": {"rnk": 4}},
+                                 {"num_views": "8"}, {"detach_target": True}])
 def test_run_rejects_bad_ttt_config(workspace, tmp_path, capsys, bad):
     (tmp_path / "ttt.json").write_text(json.dumps(bad))
     out = tmp_path / "run"
@@ -135,6 +144,23 @@ def test_run_rejects_bad_ttt_config(workspace, tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (out / "episodes.jsonl").exists()
+
+
+def test_run_rejects_non_finite_image(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    item = next(it for it in manifest["items"] if it["split"] == "test")
+    img = read_tensor(data / item["path"])
+    img[1, 2, 3] = np.nan
+    write_tensor(data / item["path"], img)
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"),
+                 "--data", str(data), "--mode", "zero-shot", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and item["id"] in err
+    assert not (out / "report.json").exists()
 
 
 def test_console_entry_point(workspace):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from ltt.data import (DEFAULT_SHIFTS, DatasetManifest, SyntheticShiftSpec,
                       apply_shift, class_definitions, generate, load_pairs,
                       load_split, render_instance, vocabulary_words)
-from ltt.serial import validate_tensor_file
+from ltt.serial import config_from_json, read_tensor, validate_tensor_file, write_tensor
 
 
 def small_spec(**kw):
@@ -114,6 +115,18 @@ def test_load_split_and_pairs(tmp_path):
         load_split(tmp_path, "missing_split")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_images(tmp_path, bad):
+    manifest = generate(small_spec(num_classes=2), tmp_path)
+    for split, load in (("test", load_split), ("train", load_pairs)):
+        item = manifest.items_for_split(split)[1]
+        img = read_tensor(tmp_path / item["path"])
+        img[0, 3, 4] = bad
+        write_tensor(tmp_path / item["path"], img)
+        with pytest.raises(ValueError, match=item["id"]):
+            load(tmp_path, split)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="K >= 2"):
         SyntheticShiftSpec(num_classes=1)
@@ -121,10 +134,11 @@ def test_spec_validation():
         SyntheticShiftSpec(shift_kinds=("fog",))
     with pytest.raises(ValueError, match="severity"):
         SyntheticShiftSpec(severity=9)
-    spec = SyntheticShiftSpec.from_json({"num_classes": 4, "severity": 2,
-                                         "shift_kinds": ["blur"]})
+    spec = config_from_json(SyntheticShiftSpec, {"num_classes": 4, "severity": 2,
+                                                 "shift_kinds": ["blur"]})
     assert spec.shift_kinds == ("blur",)
-    assert SyntheticShiftSpec.from_json(spec.to_json()) == spec
+    obj = json.loads(json.dumps(dataclasses.asdict(spec)))
+    assert config_from_json(SyntheticShiftSpec, obj) == spec
 
 
 def test_manifest_validation_catches_duplicates():

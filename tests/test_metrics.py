@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from ltt.lora import LoraConfig
-from ltt.metrics import ece, report_csv_rows, resource_report, top1_accuracy
-from ltt.ttt import EpisodeResult, TttConfig
-
-from conftest import build_tiny_model
+from ltt.metrics import ece, report_csv_rows, top1_accuracy
 
 
 def test_top1_values():
@@ -85,37 +81,6 @@ def test_ece_validation():
         ece([0.5], [True, False])
     with pytest.raises(ValueError, match="lie in"):
         ece([1.5], [True])
-
-
-# ---------------------------------------------------------------------------
-# resource accounting
-
-
-def fake_episode(wall_ms, nodes=10, trainable=0):
-    return EpisodeResult(instance_id="x", predicted=0, probs=[1.0],
-                         trainable_params=trainable, peak_tape_nodes=nodes,
-                         wall_ms=wall_ms)
-
-
-def test_resource_report_lora_counts():
-    model = build_tiny_model(embed_dim=64, num_layers=4)
-    cfg = TttConfig(mode="lora_ttt",
-                    lora=LoraConfig(rank=4, matrices=("q", "k", "v", "o"),
-                                    layers=(3, 4)))
-    eps = [fake_episode(5.0), fake_episode(7.0), fake_episode(6.0)]
-    rep = resource_report(cfg, model, eps)
-    assert rep["trainable_params"] == 4096  # 8 * 2 * 4 * 64
-    assert rep["wall_ms_per_episode"] == 6.0
-    assert rep["peak_tape_nodes"] == 10
-
-
-def test_resource_report_zero_shot_and_full_tune():
-    model = build_tiny_model(embed_dim=64, num_layers=4)
-    zs = resource_report(TttConfig(mode="zero_shot"), model, [fake_episode(1.0)])
-    assert zs["trainable_params"] == 0
-    ft = resource_report(TttConfig(mode="full_tune"), model, [fake_episode(1.0)])
-    # 8 matrices of 64x64 plus their biases
-    assert ft["trainable_params"] == 8 * 64 * 64 + 8 * 64
 
 
 def test_report_csv_shape():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ltt.serial import (FormatError, read_checkpoint, read_tensor, read_text_table,
-                        tensor_bytes, validate_tensor_file, write_checkpoint,
-                        write_tensor, write_text_table)
+from ltt.serial import (FormatError, config_from_json, read_checkpoint, read_tensor,
+                        read_text_table, tensor_bytes, validate_tensor_file,
+                        write_checkpoint, write_tensor, write_text_table)
+from ltt.ttt import TttConfig
 
 
 @pytest.mark.parametrize("shape,dtype", [
@@ -95,3 +96,23 @@ def test_text_table_round_trip(tmp_path):
 def test_text_table_shape_mismatch(tmp_path):
     with pytest.raises(FormatError):
         write_text_table(tmp_path / "t.lttc", ["a", "b"], np.ones((3, 4), np.float32))
+
+
+def test_config_from_json_converts_json_types():
+    cfg = config_from_json(TttConfig, {"lr": 1, "lora": {"matrices": ["q"]}})
+    assert isinstance(cfg.lr, float) and cfg.lr == 1.0
+    assert cfg.lora.matrices == ("q",) and cfg.lora.rank == 16
+
+
+@pytest.mark.parametrize("bad,msg", [
+    ({"num_view": 8}, "unknown TttConfig key.*num_view"),
+    ({"lora": {"rnk": 4}}, "unknown LoraConfig key.*rnk"),
+    ({"num_views": "8"}, "num_views must be int, got str"),
+    ({"num_views": 8.0}, "num_views must be int, got float"),
+    ({"num_views": True}, "num_views must be int, got bool"),
+    ({"lora": [4]}, "LoraConfig must be a JSON object"),
+], ids=["unknown-key", "unknown-nested-key", "str-for-int", "float-for-int", "bool-for-int",
+        "nested-not-object"])
+def test_config_from_json_rejects_bad_keys_and_types(bad, msg):
+    with pytest.raises(ValueError, match=msg):
+        config_from_json(TttConfig, bad)

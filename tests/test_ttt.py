@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ltt import tensor as T
 from ltt import ttt
 from ltt.encoder import build_text_table, classify
 from ltt.lora import LoraConfig, attach, base_weight_hash
+from ltt.serial import config_from_json
 from ltt.tensor import Tensor, no_grad
 from ltt.ttt import (EpisodeResult, FullTuneEncoder, Instance, TttConfig,
                      build_encoder_for_mode, entropy_np, episode_rng, lora_pretrain,
@@ -317,15 +319,6 @@ def test_tape_nodes_do_not_grow_with_selected_views(setup):
     assert nodes[0] == nodes[1]
 
 
-def test_detach_target_episode_runs(setup):
-    model, table, items = setup
-    cfg = small_cfg(mode="lora_ttt_a", detach_target=True)
-    encoder = build_encoder_for_mode(model, cfg)
-    ep = run_episode(items[5], encoder, table, cfg, episode_rng(cfg.seed, items[5].id))
-    assert ep.recorded_full_views == 0  # targets came from the no-grad pass
-    assert ep.recorded_masked_views == len(ep.selected)
-
-
 def post_step_b(model, table, item, cfg):
     """The adapters' B matrices after the step, read at the closing reset."""
     encoder = build_encoder_for_mode(model, cfg)
@@ -344,10 +337,7 @@ def post_step_b(model, table, item, cfg):
 def test_combined_path_detaches_target(setup, monkeypatch):
     model, table, items = setup
     default = post_step_b(model, table, items[4], small_cfg())
-    flagged = post_step_b(model, table, items[4], small_cfg(detach_target=True))
     assert any(np.any(b != 0) for b in default)
-    # the config flag is a lora_ttt_a switch; the combined path always detaches
-    assert all(np.array_equal(x, y) for x, y in zip(default, flagged))
 
     def tracked_mae_loss(*args, **kw):
         return mae_loss(*args, **{**kw, "detach_target": False})
@@ -355,6 +345,20 @@ def test_combined_path_detaches_target(setup, monkeypatch):
     monkeypatch.setattr(ttt, "mae_loss", tracked_mae_loss)
     tracked = post_step_b(model, table, items[4], small_cfg())
     assert not all(np.array_equal(x, y) for x, y in zip(default, tracked))
+
+
+def test_lora_ttt_a_keeps_target_on_tape(setup, monkeypatch):
+    model, table, items = setup
+    cfg = small_cfg(mode="lora_ttt_a")
+    default = post_step_b(model, table, items[4], cfg)
+    assert any(np.any(b != 0) for b in default)
+
+    def detached_mae_loss(*args, **kw):
+        return mae_loss(*args, **{**kw, "detach_target": True})
+
+    monkeypatch.setattr(ttt, "mae_loss", detached_mae_loss)
+    detached = post_step_b(model, table, items[4], cfg)
+    assert not all(np.array_equal(x, y) for x, y in zip(default, detached))
 
 
 def test_visual_tokens_target_episode(setup):
@@ -372,6 +376,13 @@ def test_full_tune_has_more_trainables_than_lora(setup):
     lora_enc = build_encoder_for_mode(model, small_cfg(
         lora=LoraConfig(rank=2, layers=(1, 2))))
     assert ft.trainable_count() > lora_enc.trainable_count()
+    ft.finish()
+
+
+def test_full_tune_trainable_count():
+    ft = FullTuneEncoder(build_tiny_model(embed_dim=64, num_layers=4))
+    # the last two layers' 4 attention matrices of 64x64 plus their biases
+    assert ft.trainable_count() == 8 * 64 * 64 + 8 * 64
     ft.finish()
 
 
@@ -508,12 +519,17 @@ def test_config_mode_forcing():
     assert cfg.lam_mem == 0.0
 
 
+def test_lora_ttt_a_without_reconstruction_weight_is_rejected():
+    with pytest.raises(ValueError, match="lam_mae must be > 0"):
+        TttConfig(mode="lora_ttt_a", lam_mae=0.0)
+    # the combined path still tracks the entropy loss at weight 0
+    TttConfig(mode="lora_ttt", lam_mem=0.0, lam_mae=0.0)
+
+
 def test_config_json_round_trip():
     cfg = TttConfig(mode="lora_ttt", num_views=32, lora=LoraConfig(rank=8))
-    back = TttConfig.from_json(cfg.to_json())
-    assert back == cfg
-    cfg = TttConfig(mode="lora_ttt_a", detach_target=True)
-    assert TttConfig.from_json(cfg.to_json()) == cfg
+    obj = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert config_from_json(TttConfig, obj) == cfg
 
 
 def test_config_validation_errors():
