@@ -316,24 +316,6 @@ class ClipModel:
         self._check_image_shape(imgs)
         return self._forward_image(self.patchify(imgs), keep, adapter_fn)
 
-    def encode_image(self, image, mask=None, adapter_fn=None) -> tuple[Tensor, Tensor]:
-        """Single image, optionally dropping the given patch indices.
-
-        The one-row case of encode_image_batch; the class token is never dropped.
-        """
-        img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=self.dtype)
-        keep = None
-        if mask is not None:
-            pcount = self.vit.num_patches
-            dropped = sorted(set(int(i) for i in mask))
-            if dropped and (dropped[0] < 0 or dropped[-1] >= pcount):
-                raise ValueError(f"mask index out of range for {pcount} patches")
-            dropset = set(dropped)
-            keep = [[0] + [1 + j for j in range(pcount) if j not in dropset]]
-        cls, toks = self.encode_image_batch(img[None], adapter_fn, keep)
-        return (T.reshape(cls, (self.vit.out_dim,)),
-                T.reshape(toks, (toks.shape[1], self.vit.out_dim)))
-
     def _check_image_shape(self, imgs: np.ndarray):
         s = self.vit.image_size
         if imgs.ndim != 4 or imgs.shape[1:] != (3, s, s):
@@ -361,11 +343,6 @@ class ClipModel:
         cls_out = T.reshape(T.slice_axis(x, 1, 0, 1), (b, self.vit.out_dim))
         tok_out = T.slice_axis(x, 1, 1, x.shape[1])
         return cls_out, tok_out
-
-    def encode_text(self, token_ids: list[int]) -> Tensor:
-        """Unnormalized D_e embedding of one token sequence (callers normalize)."""
-        out = self.encode_text_batch([token_ids])
-        return T.reshape(out, (self.txt.out_dim,))
 
     def encode_text_batch(self, sequences: list[list[int]]) -> Tensor:
         """Batch of equal-length token sequences -> (B, D_e)."""
@@ -405,11 +382,6 @@ def classify_batch(class_embs: Tensor, table: TextFeatureTable, tau: float) -> T
     return T.softmax(T.mul(cos, 1.0 / tau), axis=-1)
 
 
-def classify(class_emb: Tensor, table: TextFeatureTable, tau: float) -> Tensor:
-    probs = classify_batch(T.reshape(class_emb, (1, class_emb.shape[-1])), table, tau)
-    return T.reshape(probs, (table.num_classes,))
-
-
 def build_text_table(model: ClipModel, class_names: list[str],
                      templates: list[str]) -> TextFeatureTable:
     """Ensemble: encode each filled template, normalize, average, renormalize."""
@@ -424,7 +396,7 @@ def build_text_table(model: ClipModel, class_names: list[str],
             acc = np.zeros(model.vit.out_dim, dtype=np.float64)
             for tmpl in templates:
                 ids = model.vocab.encode(tmpl.replace("{class}", name))
-                emb = model.encode_text(ids).data.astype(np.float64)
+                emb = model.encode_text_batch([ids]).data[0].astype(np.float64)
                 acc += emb / np.linalg.norm(emb)
             acc /= len(templates)
             rows[i] = (acc / np.linalg.norm(acc)).astype(np.float32)

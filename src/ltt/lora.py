@@ -35,6 +35,9 @@ class LoraConfig:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
         self.matrices = tuple(self.matrices)
         self.layers = tuple(self.layers)
+        for i in self.layers:
+            if type(i) is not int:  # bool is an int subclass, but not a layer index
+                raise ValueError(f"layer indices must be ints, got {i!r}")
         if not self.matrices:
             raise ValueError("target matrices must be non-empty")
         for m in self.matrices:
@@ -110,9 +113,6 @@ class AdaptedEncoder:
 
     def encode_image_batch(self, images, keep=None):
         return self.model.encode_image_batch(images, adapter_fn=self._adapter_fn, keep=keep)
-
-    def encode_image(self, image, mask=None):
-        return self.model.encode_image(image, mask=mask, adapter_fn=self._adapter_fn)
 
     # lifecycle -----------------------------------------------------------
 

@@ -25,8 +25,6 @@ def top1_accuracy(predictions, labels) -> float:
 class EceReport:
     num_bins: int
     counts: list
-    confidences: list  # per-bin mean confidence, 0.0 for empty bins
-    accuracies: list   # per-bin mean accuracy, 0.0 for empty bins
     total: int
     ece: float
 
@@ -46,22 +44,15 @@ def ece(confidences, correct_flags, num_bins: int = 20) -> EceReport:
     bins = np.searchsorted(edges, conf, side="left")
     bins = np.clip(bins, 1, num_bins)
     m = conf.size
-    counts, confs, accs = [], [], []
+    counts = []
     total_gap = 0.0
     for k in range(1, num_bins + 1):
         sel = bins == k
         cnt = int(sel.sum())
         counts.append(cnt)
-        if cnt == 0:
-            confs.append(0.0)
-            accs.append(0.0)
-            continue
-        c = float(conf[sel].mean())
-        a = float(corr[sel].mean())
-        confs.append(c)
-        accs.append(a)
-        total_gap += (cnt / m) * abs(a - c)
-    return EceReport(num_bins, counts, confs, accs, m, total_gap)
+        if cnt:
+            total_gap += (cnt / m) * abs(float(corr[sel].mean()) - float(conf[sel].mean()))
+    return EceReport(num_bins, counts, m, total_gap)
 
 
 def report_csv_rows(reports: list[dict]) -> str:

@@ -78,8 +78,3 @@ class AdamW:
             vhat = v / bc2
             w = p.data
             p.value.data = w - self.lr * (mhat / (np.sqrt(vhat) + self.eps)) - self.lr * self.wd * w
-
-    def reset(self):
-        self.t = 0
-        self.m.clear()
-        self.v.clear()

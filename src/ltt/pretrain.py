@@ -11,9 +11,9 @@ import numpy as np
 from . import tensor as T
 from .data import DatasetManifest, load_pairs, vocabulary_words
 from .encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab,
-                      build_text_table, contrastive_loss, classify_batch)
+                      build_text_table, contrastive_loss)
 from .optim import AdamW
-from .tensor import Tape, backward, no_grad
+from .tensor import Tape, backward
 from .views import normalize, random_resized_crop
 
 PRETRAIN_CROP_RANGE = (0.5, 1.0)  # milder than test-time crops: shapes are localized
@@ -91,7 +91,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
                 batch_imgs = np.stack([
                     normalize(random_resized_crop(raw_images[i], rng,
                                                   vit_cfg.image_size,
-                                                  PRETRAIN_CROP_RANGE)[0], mean, std)
+                                                  PRETRAIN_CROP_RANGE), mean, std)
                     for i in idx])
             else:
                 batch_imgs = plain[idx]
@@ -117,22 +117,6 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     for p in model.param_list():
         p.set_trainable(False)
     return model, losses
-
-
-def zero_shot_accuracy(model: ClipModel, table: TextFeatureTable,
-                       instances, batch_size: int = 128) -> float:
-    """Direct classify-and-argmax accuracy over raw [0,1] images."""
-    hits = 0
-    with no_grad():
-        for start in range(0, len(instances), batch_size):
-            chunk = instances[start:start + batch_size]
-            imgs = np.stack([normalize(inst.image, model.norm_mean, model.norm_std)
-                             for inst in chunk])
-            cls, _ = model.encode_image_batch(imgs)
-            probs = classify_batch(cls, table, model.tau).data
-            hits += sum(int(np.argmax(probs[i])) == chunk[i].label
-                        for i in range(len(chunk)))
-    return hits / len(instances)
 
 
 def embed_text(checkpoint_path, class_names: list[str], templates: list[str],

@@ -7,7 +7,8 @@ All integers little-endian. LTTF: magic, version 0x01, dtype byte
 
 from __future__ import annotations
 
-import io
+import math
+import os
 import struct
 from dataclasses import fields, is_dataclass
 
@@ -33,6 +34,25 @@ def _read_exact(f, n: int) -> bytes:
     return buf
 
 
+def _read_array(f, shape: tuple, dt: np.dtype) -> np.ndarray:
+    """A row-major payload of `shape`, its size checked against the bytes
+    left in `f` before anything is read."""
+    nbytes = math.prod(shape) * dt.itemsize  # Python ints, so no overflow
+    pos = f.tell()
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if nbytes > left:
+        raise FormatError(f"truncated file: payload of shape {shape} needs {nbytes} bytes, "
+                          f"{left} left")
+    return np.frombuffer(_read_exact(f, nbytes), dtype=dt).reshape(shape).astype(
+        dt.newbyteorder("="))
+
+
+def _no_trailing_bytes(f, path):
+    if f.read(1):
+        raise FormatError(f"trailing bytes after the last record in {path}")
+
+
 def dump_tensor(f, arr: np.ndarray):
     arr = np.asarray(arr, order="C")  # ascontiguousarray would promote 0-d to 1-d
     if arr.dtype not in _DTYPE_CODE:
@@ -54,12 +74,8 @@ def load_tensor(f) -> np.ndarray:
         raise FormatError(f"unsupported tensor version {version}")
     if dcode not in _CODE_DTYPE:
         raise FormatError(f"unknown dtype code {dcode}")
-    shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(rank))
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    dt = _CODE_DTYPE[dcode]
-    payload = _read_exact(f, count * dt.itemsize)
-    arr = np.frombuffer(payload, dtype=dt).reshape(shape)
-    return arr.astype(dt.newbyteorder("="))
+    shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
+    return _read_array(f, shape, _CODE_DTYPE[dcode])
 
 
 def write_tensor(path, arr: np.ndarray):
@@ -70,15 +86,8 @@ def write_tensor(path, arr: np.ndarray):
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         arr = load_tensor(f)
-        if f.read(1):
-            raise FormatError(f"trailing bytes after tensor payload in {path}")
+        _no_trailing_bytes(f, path)
     return arr
-
-
-def validate_tensor_file(path) -> bool:
-    """Full validation: magic, version, extents, payload length."""
-    read_tensor(path)
-    return True
 
 
 def _write_name(f, name: str):
@@ -91,7 +100,10 @@ def _write_name(f, name: str):
 
 def _read_name(f) -> str:
     (n,) = struct.unpack("<H", _read_exact(f, 2))
-    return _read_exact(f, n).decode("utf-8")
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"name is not valid UTF-8: {e}") from e
 
 
 def write_checkpoint(path, params: dict[str, np.ndarray]):
@@ -115,6 +127,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             if name in out:
                 raise FormatError(f"duplicate parameter name {name!r}")
             out[name] = load_tensor(f)
+        _no_trailing_bytes(f, path)
     return out
 
 
@@ -139,15 +152,9 @@ def read_text_table(path) -> tuple[list[str], np.ndarray]:
             raise FormatError("bad table magic (expected LTTC)")
         k, de = struct.unpack("<II", _read_exact(f, 8))
         names = [_read_name(f) for _ in range(k)]
-        payload = _read_exact(f, k * de * 4)
-        rows = np.frombuffer(payload, dtype="<f4").reshape(k, de).astype(np.float32)
+        rows = _read_array(f, (k, de), np.dtype("<f4"))
+        _no_trailing_bytes(f, path)
     return names, rows
-
-
-def tensor_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    dump_tensor(buf, arr)
-    return buf.getvalue()
 
 
 def config_from_json(cls, obj):

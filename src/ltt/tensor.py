@@ -110,32 +110,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a supported primitive")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _coerce(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
@@ -183,20 +157,6 @@ def add(a: Tensor, b) -> Tensor:
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make(data, (a, b), backward)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    _check_same_dtype("sub", a, b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _make(data, (a, b), backward)
 

@@ -163,7 +163,7 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
             stats["tokens"] = stats.get("tokens", 0) + k * (1 + p_total)
     # every mask drops floor(ratio*P) patches, so the k masked views form one
     # rectangular batch of K = 1 + kept tokens each
-    masks = [sample_mask(p_total, mask_ratio, rng).masked_indices for _ in range(k)]
+    masks = [sample_mask(p_total, mask_ratio, rng) for _ in range(k)]
     kept = np.stack([np.setdiff1d(np.arange(p_total), m) for m in masks])
     if recon_target == "visual_tokens" and kept.shape[1] == 0:
         raise ValueError("mask leaves zero unmasked patches for visual_tokens target")
@@ -264,7 +264,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
             wall_ms=(time.perf_counter() - t0) * 1000.0)
 
     encoder.reset(rng)  # per-episode seeding: adapter state from this instance's stream
-    batch = make_views(instance.image, cfg.num_views, rng, model.norm_mean,
+    views = make_views(instance.image, cfg.num_views, rng, model.norm_mean,
                        model.norm_std, size)
     opt = AdamW(lr=cfg.lr, wd=cfg.wd)
     trainables = encoder.trainable_params()
@@ -283,7 +283,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
             p.zero_grad()
         with Tape() as tape:
             with nullcontext() if combined else no_grad():
-                cls_all, tok_all = encoder.encode_image_batch(batch.views)
+                cls_all, tok_all = encoder.encode_image_batch(views)
                 probs_t = classify_batch(cls_all, table, tau)
             selected = select_confident(probs_t.data, cfg.cutoff)
             l_mem = l_mae = None
@@ -297,7 +297,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
                     unm_cls = T.index_select(cls_all, selected, axis=0)
                     if cfg.recon_target == "visual_tokens":
                         unm_tok = T.index_select(tok_all, selected, axis=0)
-                l_mae = mae_loss(encoder, batch.views[selected], cfg.mask_ratio,
+                l_mae = mae_loss(encoder, views[selected], cfg.mask_ratio,
                                  cfg.recon_target, rng, unmasked_cls=unm_cls,
                                  unmasked_tokens=unm_tok, detach_target=combined,
                                  stats=stats)
@@ -310,8 +310,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
                             None if l_mae is None else float(l_mae.data), float(loss.data)])
         opt.step(trainables)
 
-    view0 = batch.views[0]
-    probs = _classify_view0(encoder, view0, table, tau)
+    probs = _classify_view0(encoder, views[0], table, tau)
     result = EpisodeResult(
         instance_id=instance.id, predicted=int(np.argmax(probs)),
         probs=[float(x) for x in probs], label=instance.label,
@@ -425,8 +424,8 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
         caption_feats = {}
         for _, caption in pairs:
             if caption not in caption_feats:
-                emb = model.encode_text(model.vocab.encode(caption))
-                caption_feats[caption] = T.l2_normalize(emb, axis=-1).data
+                emb = model.encode_text_batch([model.vocab.encode(caption)])
+                caption_feats[caption] = T.l2_normalize(emb, axis=-1).data[0]
 
     images = np.stack([normalize(img, model.norm_mean, model.norm_std)
                        for img, _ in pairs])

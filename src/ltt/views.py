@@ -7,8 +7,6 @@ flip. Everything is a pure function of (inputs, rng).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 CROP_AREA_RANGE = (0.3, 1.0)
@@ -17,35 +15,16 @@ FLIP_PROB = 0.5
 MAX_CROP_TRIES = 10
 
 
-@dataclass
-class ViewBatch:
-    views: np.ndarray  # (N, 3, S, S), normalized
-    tags: list[str]
-
-    @property
-    def n(self) -> int:
-        return self.views.shape[0]
-
-
-@dataclass
-class MaskSpec:
-    ratio: float
-    masked_indices: np.ndarray  # sorted, unique, < P
-
-    @property
-    def count(self) -> int:
-        return int(self.masked_indices.size)
-
-
-def sample_mask(num_patches: int, ratio: float, rng: np.random.Generator) -> MaskSpec:
-    """Uniform sample without replacement of exactly floor(ratio * P) indices."""
+def sample_mask(num_patches: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted patch indices to drop: a uniform sample without replacement of
+    exactly floor(ratio * P) of them."""
     if num_patches < 1:
         raise ValueError(f"need at least one patch, got {num_patches}")
     if not (0.0 <= ratio < 1.0):
         raise ValueError(f"mask ratio must be in [0, 1), got {ratio}")
     m = int(np.floor(ratio * num_patches))
     idx = rng.choice(num_patches, size=m, replace=False) if m else np.empty(0, dtype=np.int64)
-    return MaskSpec(ratio, np.sort(idx.astype(np.int64)))
+    return np.sort(idx.astype(np.int64))
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -91,31 +70,27 @@ def _random_crop_box(h: int, w: int, rng: np.random.Generator,
 
 
 def random_resized_crop(img: np.ndarray, rng: np.random.Generator, out_size: int,
-                        area_range=CROP_AREA_RANGE, flip_prob: float = FLIP_PROB):
+                        area_range=CROP_AREA_RANGE, flip_prob: float = FLIP_PROB) -> np.ndarray:
     """One crop-resize-flip draw; shared by view generation and pretraining."""
     h, w = img.shape[1:]
     top, left, ch, cw = _random_crop_box(h, w, rng, area_range)
     crop = resize_bilinear(img[:, top:top + ch, left:left + cw], out_size, out_size)
-    flipped = bool(rng.random() < flip_prob)
-    if flipped:
+    if rng.random() < flip_prob:
         crop = crop[:, :, ::-1]
-    tag = f"{top},{left},{ch}x{cw}{',flip' if flipped else ''}"
-    return crop, tag
+    return crop
 
 
 def make_views(image: np.ndarray, n: int, rng: np.random.Generator,
-               mean: np.ndarray, std: np.ndarray, out_size: int) -> ViewBatch:
-    """N views of one instance: the original plus N-1 random resized crops."""
+               mean: np.ndarray, std: np.ndarray, out_size: int) -> np.ndarray:
+    """(N, 3, S, S) normalized views of one instance: the original plus N-1
+    random resized crops."""
     if n < 1:
         raise ValueError(f"need at least one view, got {n}")
     img = np.asarray(image, dtype=np.float32)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"expected (3,H,W) image, got {img.shape}")
     views = np.empty((n, 3, out_size, out_size), dtype=np.float32)
-    tags = ["orig"]
     views[0] = normalize(resize_bilinear(img, out_size, out_size), mean, std)
     for i in range(1, n):
-        crop, tag = random_resized_crop(img, rng, out_size)
-        views[i] = normalize(crop, mean, std)
-        tags.append(f"rrc{i}:{tag}")
-    return ViewBatch(views, tags)
+        views[i] = normalize(random_resized_crop(img, rng, out_size), mean, std)
+    return views

@@ -1,4 +1,5 @@
-"""Shared oracles: central finite differences and relative-error metrics."""
+"""Shared oracles: central finite differences, relative-error metrics, and
+the keep rows of masked views."""
 
 from __future__ import annotations
 
@@ -53,3 +54,10 @@ def check_gradients(loss_builder, leaves: list[Tensor], h: float = 1e-5,
         worst = max(worst, max_rel_err(ag, ng))
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e} >= {tol}"
     return worst
+
+
+def keep_rows(num_patches: int, masks) -> np.ndarray:
+    """(B, K) `keep` for encode_image_batch: row b holds the class token and
+    every patch that masks[b] does not drop."""
+    return np.stack([np.concatenate([[0], 1 + np.setdiff1d(np.arange(num_patches), m)])
+                     for m in masks]).astype(np.int64)

@@ -133,7 +133,8 @@ def test_exit_codes(workspace, tmp_path):
 
 @pytest.mark.parametrize("bad", [{"num_views": 0}, {"mask_ratio": 1.5}, {"lr": -1},
                                  {"num_view": 8}, {"lora": {"rnk": 4}},
-                                 {"num_views": "8"}, {"detach_target": True}])
+                                 {"num_views": "8"}, {"detach_target": True},
+                                 {"lora": {"layers": ["a"]}}, {"lora": {"layers": [True]}}])
 def test_run_rejects_bad_ttt_config(workspace, tmp_path, capsys, bad):
     (tmp_path / "ttt.json").write_text(json.dumps(bad))
     out = tmp_path / "run"
@@ -161,6 +162,18 @@ def test_run_rejects_non_finite_image(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and item["id"] in err
     assert not (out / "report.json").exists()
+
+
+def test_embed_text_rejects_oversized_checkpoint_tensor(tmp_path, capsys):
+    # 32 bytes: one record whose tensor declares (2**32-1)**3 float32 elements
+    ckpt = tmp_path / "huge.lttw"
+    ckpt.write_bytes(b"LTTW" + (1).to_bytes(4, "little") + (3).to_bytes(2, "little") + b"abc"
+                     + b"LTTF" + bytes([1, 0, 3]) + b"\xff" * 12)
+    assert ckpt.stat().st_size == 32
+    assert main(["embed-text", "--ckpt", str(ckpt), "--classes", "a", "b",
+                 "--out", str(tmp_path / "t.lttc")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncated") and err.count("\n") == 1
 
 
 def test_console_entry_point(workspace):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ltt import tensor as T
-from ltt.encoder import (ClipModel, TextFeatureTable, build_text_table, classify,
+from ltt.encoder import (ClipModel, TextFeatureTable, build_text_table, classify_batch,
                          contrastive_loss)
 from ltt.lora import LoraConfig, attach
 from ltt.tensor import Tensor
 from ltt.views import sample_mask
+
+from helpers import keep_rows
 
 
 def rand_image(rng, size=32):
@@ -22,9 +24,9 @@ def rand_image(rng, size=32):
 def test_patch_count_and_sequence_length(tiny_model):
     assert tiny_model.vit.num_patches == 16  # 32/8 squared
     rng = np.random.default_rng(0)
-    cls, toks = tiny_model.encode_image(rand_image(rng))
-    assert cls.shape == (tiny_model.vit.out_dim,)
-    assert toks.shape == (16, tiny_model.vit.out_dim)
+    cls, toks = tiny_model.encode_image_batch(rand_image(rng)[None])
+    assert cls.shape == (1, tiny_model.vit.out_dim)
+    assert toks.shape == (1, 16, tiny_model.vit.out_dim)
 
 
 def test_mask_drops_tokens(tiny_model):
@@ -32,32 +34,32 @@ def test_mask_drops_tokens(tiny_model):
     img = rand_image(rng)
     # ratio 0.5 on P=16: 8 dropped, class token + 8 patches remain
     dropped = list(range(8))
-    _, toks = tiny_model.encode_image(img, mask=dropped)
-    assert toks.shape[0] == 8
+    _, toks = tiny_model.encode_image_batch(img[None], keep=keep_rows(16, [dropped]))
+    assert toks.shape[1] == 8
 
 
 def test_encode_image_deterministic(tiny_model):
     rng = np.random.default_rng(2)
     img = rand_image(rng)
-    a, _ = tiny_model.encode_image(img)
-    b, _ = tiny_model.encode_image(img)
+    a, _ = tiny_model.encode_image_batch(img[None])
+    b, _ = tiny_model.encode_image_batch(img[None])
     assert np.array_equal(a.data, b.data)
 
 
 def test_empty_mask_matches_no_mask_bitexact(tiny_model):
     rng = np.random.default_rng(3)
     img = rand_image(rng)
-    a, ta = tiny_model.encode_image(img)
-    b, tb = tiny_model.encode_image(img, mask=[])
+    a, ta = tiny_model.encode_image_batch(img[None])
+    b, tb = tiny_model.encode_image_batch(img[None], keep=keep_rows(16, [[]]))
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(ta.data, tb.data)
 
 
 def test_image_shape_and_mask_errors(tiny_model):
     with pytest.raises(ValueError, match="shape"):
-        tiny_model.encode_image(np.zeros((3, 16, 16), np.float32))
-    with pytest.raises(ValueError, match="mask index"):
-        tiny_model.encode_image(np.zeros((3, 32, 32), np.float32), mask=[16])
+        tiny_model.encode_image_batch(np.zeros((1, 3, 16, 16), np.float32))
+    with pytest.raises(ValueError, match="keep"):  # patch 16 of 16 is token 17 of 17
+        tiny_model.encode_image_batch(np.zeros((1, 3, 32, 32), np.float32), keep=[[0, 17]])
 
 
 def test_batch_matches_single(tiny_model):
@@ -65,8 +67,8 @@ def test_batch_matches_single(tiny_model):
     imgs = np.stack([rand_image(rng) for _ in range(3)])
     cls_b, toks_b = tiny_model.encode_image_batch(imgs)
     for i in range(3):
-        cls_s, _ = tiny_model.encode_image(imgs[i])
-        assert np.allclose(cls_b.data[i], cls_s.data, atol=1e-5)
+        cls_s, _ = tiny_model.encode_image_batch(imgs[i][None])
+        assert np.allclose(cls_b.data[i], cls_s.data[0], atol=1e-5)
 
 
 def test_batched_keep_rows_match_single_masked_views(tiny_model):
@@ -75,15 +77,14 @@ def test_batched_keep_rows_match_single_masked_views(tiny_model):
     for ad in adapted.adapters.values():
         ad.b.value.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
     imgs = np.stack([rand_image(rng) for _ in range(4)])
-    masks = [sample_mask(16, 0.5, rng).masked_indices for _ in range(4)]
-    keep = np.stack([np.concatenate([[0], 1 + np.setdiff1d(np.arange(16), m)])
-                     for m in masks])
+    masks = [sample_mask(16, 0.5, rng) for _ in range(4)]
+    keep = keep_rows(16, masks)
     cls_b, toks_b = adapted.encode_image_batch(imgs, keep=keep)
     assert toks_b.shape == (4, 8, tiny_model.vit.out_dim)
     for j in range(4):
-        cls_s, toks_s = adapted.encode_image(imgs[j], mask=masks[j])
-        assert np.array_equal(cls_b.data[j], cls_s.data)
-        assert np.array_equal(toks_b.data[j], toks_s.data)
+        cls_s, toks_s = adapted.encode_image_batch(imgs[j][None], keep=keep[j][None])
+        assert np.array_equal(cls_b.data[j], cls_s.data[0])
+        assert np.array_equal(toks_b.data[j], toks_s.data[0])
 
 
 def test_keep_shape_and_range_errors(tiny_model):
@@ -102,17 +103,17 @@ def test_keep_shape_and_range_errors(tiny_model):
 
 def test_encode_text_deterministic_and_width(tiny_model):
     ids = tiny_model.vocab.encode("a photo of a red circle")
-    a = tiny_model.encode_text(ids)
-    b = tiny_model.encode_text(ids)
+    a = tiny_model.encode_text_batch([ids])
+    b = tiny_model.encode_text_batch([ids])
     assert np.array_equal(a.data, b.data)
-    assert a.shape == (tiny_model.txt.out_dim,)
-    short = tiny_model.encode_text(tiny_model.vocab.encode("red"))
-    assert short.shape == (tiny_model.txt.out_dim,)
+    assert a.shape == (1, tiny_model.txt.out_dim)
+    short = tiny_model.encode_text_batch([tiny_model.vocab.encode("red")])
+    assert short.shape == (1, tiny_model.txt.out_dim)
 
 
 def test_distinct_captions_distinct_vectors(tiny_model):
-    a = tiny_model.encode_text(tiny_model.vocab.encode("a red circle"))
-    b = tiny_model.encode_text(tiny_model.vocab.encode("a blue square"))
+    a = tiny_model.encode_text_batch([tiny_model.vocab.encode("a red circle")])
+    b = tiny_model.encode_text_batch([tiny_model.vocab.encode("a blue square")])
     assert not np.allclose(a.data, b.data)
 
 
@@ -120,9 +121,9 @@ def test_text_errors(tiny_model):
     with pytest.raises(ValueError, match="unknown token"):
         tiny_model.vocab.encode("a purple dinosaur")
     with pytest.raises(ValueError, match="unknown token id"):
-        tiny_model.encode_text([0, 9999, 1])
+        tiny_model.encode_text_batch([[0, 9999, 1]])
     with pytest.raises(ValueError, match="context"):
-        tiny_model.encode_text([0] * 40)
+        tiny_model.encode_text_batch([[0] * 40])
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_classify_hand_softmax():
     table = orth_table()
     v = np.zeros(8, dtype=np.float32)
     v[0] = 1.0
-    probs = classify(Tensor(v), table, tau=1.0).data
+    probs = classify_batch(Tensor(v[None]), table, tau=1.0).data[0]
     assert probs == pytest.approx([0.7311, 0.2689], abs=1e-4)
 
 
@@ -149,7 +150,7 @@ def test_classify_identical_rows_symmetric():
     rows[:, 0] = 1.0
     table = TextFeatureTable(["a", "b"], rows)
     v = np.random.default_rng(0).normal(size=4).astype(np.float32)
-    probs = classify(Tensor(v), table, tau=0.5).data
+    probs = classify_batch(Tensor(v[None]), table, tau=0.5).data[0]
     assert probs == pytest.approx([0.5, 0.5], abs=1e-6)
 
 
@@ -157,7 +158,7 @@ def test_classify_sharpens_at_low_temperature():
     table = orth_table()
     v = np.zeros(8, dtype=np.float32)
     v[0] = 1.0
-    probs = classify(Tensor(v), table, tau=0.01).data
+    probs = classify_batch(Tensor(v[None]), table, tau=0.01).data[0]
     assert probs[0] > 0.999
 
 
@@ -168,11 +169,11 @@ def test_classify_probability_simplex():
     table32 = TextFeatureTable([f"c{i}" for i in range(6)], rows.astype(np.float32))
     for _ in range(1000):
         v32 = rng.normal(size=16).astype(np.float32)
-        p32 = classify(Tensor(v32), table32, tau=0.07).data
+        p32 = classify_batch(Tensor(v32[None]), table32, tau=0.07).data
         assert abs(float(p32.sum()) - 1.0) < 1e-6
-        p64 = classify(Tensor(v32.astype(np.float64)),
-                       TextFeatureTable(table32.class_names, rows.astype(np.float64)),
-                       tau=0.07).data
+        p64 = classify_batch(Tensor(v32[None].astype(np.float64)),
+                             TextFeatureTable(table32.class_names, rows.astype(np.float64)),
+                             tau=0.07).data
         assert abs(float(p64.sum()) - 1.0) < 1e-12
 
 
@@ -182,16 +183,16 @@ def test_classify_argmax_invariant_to_temperature():
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     table = TextFeatureTable([f"c{i}" for i in range(5)], rows.astype(np.float32))
     for _ in range(50):
-        v = Tensor(rng.normal(size=12).astype(np.float32))
-        a = int(np.argmax(classify(v, table, tau=1.0).data))
-        b = int(np.argmax(classify(v, table, tau=0.05).data))
+        v = Tensor(rng.normal(size=(1, 12)).astype(np.float32))
+        a = int(np.argmax(classify_batch(v, table, tau=1.0).data))
+        b = int(np.argmax(classify_batch(v, table, tau=0.05).data))
         assert a == b
 
 
 def test_classify_rejects_bad_inputs():
     table = orth_table()
     with pytest.raises(ValueError, match="positive"):
-        classify(Tensor(np.ones(8, np.float32)), table, tau=0.0)
+        classify_batch(Tensor(np.ones((1, 8), np.float32)), table, tau=0.0)
     with pytest.raises(ValueError, match="2 classes"):
         TextFeatureTable(["only"], np.ones((1, 4), np.float32))
 
@@ -203,7 +204,7 @@ def test_classify_rejects_bad_inputs():
 def test_single_template_is_normalized_encoding(tiny_model):
     table = build_text_table(tiny_model, ["red circle", "blue square"],
                              ["a photo of a {class}"])
-    emb = tiny_model.encode_text(tiny_model.vocab.encode("a photo of a red circle")).data
+    emb = tiny_model.encode_text_batch([tiny_model.vocab.encode("a photo of a red circle")]).data[0]
     expected = emb / np.linalg.norm(emb)
     assert np.allclose(table.features[0], expected, atol=1e-6)
 
@@ -223,8 +224,8 @@ def test_ensemble_matches_numpy_oracle(tiny_model):
     for i, name in enumerate(names):
         accs = []
         for tmpl in templates:
-            e = tiny_model.encode_text(
-                tiny_model.vocab.encode(tmpl.replace("{class}", name))).data.astype(np.float64)
+            e = tiny_model.encode_text_batch(
+                [tiny_model.vocab.encode(tmpl.replace("{class}", name))]).data[0].astype(np.float64)
             accs.append(e / np.linalg.norm(e))
         avg = np.mean(accs, axis=0)
         expected = avg / np.linalg.norm(avg)
@@ -291,9 +292,10 @@ def test_checkpoint_round_trip_preserves_outputs(tiny_model, tmp_path):
     assert back.vocab.words == tiny_model.vocab.words
     rng = np.random.default_rng(8)
     img = rand_image(rng)
-    a, _ = tiny_model.encode_image(img)
-    b, _ = back.encode_image(img)
+    a, _ = tiny_model.encode_image_batch(img[None])
+    b, _ = back.encode_image_batch(img[None])
     assert np.array_equal(a.data, b.data)
     ids = tiny_model.vocab.encode("a photo of a blue square")
-    assert np.array_equal(tiny_model.encode_text(ids).data, back.encode_text(ids).data)
+    assert np.array_equal(tiny_model.encode_text_batch([ids]).data,
+                          back.encode_text_batch([ids]).data)
     assert back.tau == pytest.approx(tiny_model.tau, rel=1e-6)

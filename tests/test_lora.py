@@ -22,8 +22,8 @@ def test_identity_at_init_100_images(tiny_model):
     rng = np.random.default_rng(10)
     for _ in range(100):
         img = rand_image(rng)
-        base_cls, _ = tiny_model.encode_image(img)
-        ad_cls, _ = adapted.encode_image(img)
+        base_cls, _ = tiny_model.encode_image_batch(img[None])
+        ad_cls, _ = adapted.encode_image_batch(img[None])
         assert np.max(np.abs(ad_cls.data - base_cls.data)) == 0.0
 
 
@@ -34,8 +34,8 @@ def test_zero_scale_annihilates_trained_adapters(tiny_model):
     for ad in adapted.adapters.values():
         ad.b.value.data = rng.normal(size=ad.b.data.shape).astype(np.float32)
     img = rand_image(rng)
-    base_cls, _ = tiny_model.encode_image(img)
-    ad_cls, _ = adapted.encode_image(img)
+    base_cls, _ = tiny_model.encode_image_batch(img[None])
+    ad_cls, _ = adapted.encode_image_batch(img[None])
     assert np.max(np.abs(ad_cls.data - base_cls.data)) == 0.0
 
 
@@ -54,18 +54,18 @@ def test_reset_restores_base_behaviour(tiny_model):
     adapted = attach(tiny_model, LoraConfig(rank=4), np.random.default_rng(13))
     rng = np.random.default_rng(14)
     img = rand_image(rng)
-    before, _ = adapted.encode_image(img)
+    before, _ = adapted.encode_image_batch(img[None])
     # simulate an episode update
     for ad in adapted.adapters.values():
         ad.b.value.data = rng.normal(0, 0.05, size=ad.b.data.shape).astype(np.float32)
-    during, _ = adapted.encode_image(img)
+    during, _ = adapted.encode_image_batch(img[None])
     assert not np.array_equal(before.data, during.data)
     adapted.reset(np.random.default_rng(99))
-    after, _ = adapted.encode_image(img)
+    after, _ = adapted.encode_image_batch(img[None])
     assert np.array_equal(before.data, after.data)
     # idempotent with respect to the model output
     adapted.reset(np.random.default_rng(100))
-    again, _ = adapted.encode_image(img)
+    again, _ = adapted.encode_image_batch(img[None])
     assert np.array_equal(after.data, again.data)
 
 
@@ -85,7 +85,7 @@ def test_gradient_reaches_b_after_one_step(tiny_model):
     for p in params:
         p.zero_grad()
     with Tape():
-        cls, _ = adapted.encode_image(img)
+        cls, _ = adapted.encode_image_batch(img[None])
         loss = T.mse(cls, Tensor(np.zeros_like(cls.data)))
         backward(loss)
     AdamW(lr=0.01).step(params)
@@ -160,10 +160,10 @@ def test_adapter_checkpoint_round_trip(tiny_model, tmp_path):
     fresh = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
     fresh.load_adapters(path)
     img = rand_image(np.random.default_rng(24))
-    a, _ = adapted.encode_image(img)
-    b, _ = fresh.encode_image(img)
+    a, _ = adapted.encode_image_batch(img[None])
+    b, _ = fresh.encode_image_batch(img[None])
     assert np.array_equal(a.data, b.data)
     # reset returns to the loaded baseline, not to zero
     fresh.reset(np.random.default_rng(25))
-    c, _ = fresh.encode_image(img)
+    c, _ = fresh.encode_image_batch(img[None])
     assert np.array_equal(b.data, c.data)

@@ -3,7 +3,8 @@ import pytest
 
 from ltt.data import SyntheticShiftSpec, generate, load_split
 from ltt.encoder import ClipModel, TextFeatureTable, VitConfig
-from ltt.pretrain import embed_text, pretrain, zero_shot_accuracy
+from ltt.pretrain import embed_text, pretrain
+from ltt.ttt import TttConfig, run_stream
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def test_pretrain_smoke_and_save(mini_data, tmp_path):
     table = embed_text(path, manifest.class_names, ["a photo of a {class}"],
                        tmp_path / "mini.lttc")
     items = load_split(data_dir, "test")
-    acc = zero_shot_accuracy(back, table, items)
+    acc = run_stream(items, back, table, TttConfig(mode="zero_shot")).top1
     assert 0.0 <= acc <= 1.0
 
 

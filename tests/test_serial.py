@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltt.serial import (FormatError, config_from_json, read_checkpoint, read_tensor,
-                        read_text_table, tensor_bytes, validate_tensor_file,
-                        write_checkpoint, write_tensor, write_text_table)
+                        read_text_table, write_checkpoint, write_tensor, write_text_table)
 from ltt.ttt import TttConfig
+
+
+def u32(n: int) -> bytes:
+    return n.to_bytes(4, "little")
 
 
 @pytest.mark.parametrize("shape,dtype", [
@@ -20,12 +24,12 @@ def test_tensor_round_trip(tmp_path, shape, dtype):
     assert back.dtype == dtype
     assert back.shape == arr.shape
     assert np.array_equal(back, arr)
-    assert validate_tensor_file(path)
 
 
-def test_tensor_header_layout():
+def test_tensor_header_layout(tmp_path):
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
-    blob = tensor_bytes(arr)
+    write_tensor(tmp_path / "t.lttf", arr)
+    blob = (tmp_path / "t.lttf").read_bytes()
     assert blob[:4] == b"LTTF"
     assert blob[4] == 1  # version
     assert blob[5] == 0  # f32
@@ -47,13 +51,34 @@ def test_bad_magic_and_truncation(tmp_path):
     path.write_bytes(b"NOPE" + bytes(20))
     with pytest.raises(FormatError, match="magic"):
         read_tensor(path)
-    good = tensor_bytes(np.ones(7, dtype=np.float32))
+    write_tensor(tmp_path / "good.lttf", np.ones(7, dtype=np.float32))
+    good = (tmp_path / "good.lttf").read_bytes()
     (tmp_path / "short.lttf").write_bytes(good[:-3])
     with pytest.raises(FormatError, match="truncated"):
         read_tensor(tmp_path / "short.lttf")
     (tmp_path / "long.lttf").write_bytes(good + b"x")
     with pytest.raises(FormatError, match="trailing"):
         read_tensor(tmp_path / "long.lttf")
+
+
+def test_oversized_extents_fail_before_reading(tmp_path):
+    # 4 extents of 65536 hold 2**64 elements, which wrap to 0 in an int64 product
+    path = tmp_path / "wrap.lttf"
+    path.write_bytes(b"LTTF" + bytes([1, 0, 4]) + u32(65536) * 4 + bytes(16))
+    with pytest.raises(FormatError, match="truncated"):
+        read_tensor(path)
+    # a 32-byte checkpoint whose one tensor declares (2**32-1)**3 elements
+    path = tmp_path / "huge.lttw"
+    path.write_bytes(b"LTTW" + u32(1) + (3).to_bytes(2, "little") + b"abc"
+                     + b"LTTF" + bytes([1, 0, 3]) + u32(2**32 - 1) * 3)
+    assert path.stat().st_size == 32
+    with pytest.raises(FormatError, match="truncated"):
+        read_checkpoint(path)
+    # a text table of one class whose rows declare 2**32-1 columns
+    path = tmp_path / "huge.lttc"
+    path.write_bytes(b"LTTC" + u32(1) + u32(2**32 - 1) + (1).to_bytes(2, "little") + b"a")
+    with pytest.raises(FormatError, match="truncated"):
+        read_text_table(path)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -116,3 +141,68 @@ def test_config_from_json_converts_json_types():
 def test_config_from_json_rejects_bad_keys_and_types(bad, msg):
     with pytest.raises(ValueError, match=msg):
         config_from_json(TttConfig, bad)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: a truncated or byte-flipped valid file raises FormatError or loads
+# a value consistent with its own header
+
+
+def _well_formed_tensor(arr) -> bool:
+    return (isinstance(arr, np.ndarray) and arr.dtype in (np.float32, np.float64)
+            and arr.dtype.isnative)
+
+
+def _check_lttf(arr, size):
+    assert _well_formed_tensor(arr)
+    assert size == 7 + 4 * arr.ndim + arr.nbytes
+
+
+def _check_lttw(params, size):
+    assert all(isinstance(k, str) and _well_formed_tensor(v) for k, v in params.items())
+
+
+def _check_lttc(table, size):
+    names, rows = table
+    assert all(isinstance(n, str) for n in names)
+    assert rows.dtype == np.float32 and rows.ndim == 2 and rows.shape[0] == len(names)
+
+
+FUZZ_FORMATS = {
+    "lttf": (lambda p: write_tensor(p, np.arange(12, dtype=np.float32).reshape(2, 3, 2)),
+             read_tensor, _check_lttf),
+    "lttw": (lambda p: write_checkpoint(p, {"w": np.ones((2, 3), np.float32),
+                                            "b": np.zeros(3, np.float64),
+                                            "s": np.asarray(4.6, np.float32)}),
+             read_checkpoint, _check_lttw),
+    "lttc": (lambda p: write_text_table(p, ["red circle", "blue square", "green"],
+                                        np.eye(3, 4, dtype=np.float32)),
+             read_text_table, _check_lttc),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("fmt", sorted(FUZZ_FORMATS))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_readers_survive_corruption(fuzz_dir, fmt, data):
+    write, read, check = FUZZ_FORMATS[fmt]
+    path = fuzz_dir / f"f.{fmt}"
+    write(path)
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="kept bytes")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(blob))
+    try:
+        value = read(path)
+    except FormatError:
+        return
+    check(value, len(blob))

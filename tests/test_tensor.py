@@ -131,7 +131,6 @@ def test_no_recording_outside_tape():
 CASES = {
     "add": (lambda a, b: T.add(a, b), [(2, 3), (2, 3)]),
     "add_broadcast": (lambda a, b: T.add(a, b), [(2, 3), (3,)]),
-    "sub": (lambda a, b: T.sub(a, b), [(2, 3), (2, 3)]),
     "mul": (lambda a, b: T.mul(a, b), [(2, 3), (2, 3)]),
     "mul_broadcast": (lambda a, b: T.mul(a, b), [(2, 3), (1, 3)]),
     "matmul": (lambda a, b: T.matmul(a, b), [(2, 3), (3, 4)]),

@@ -6,7 +6,7 @@ import pytest
 
 from ltt import tensor as T
 from ltt import ttt
-from ltt.encoder import build_text_table, classify
+from ltt.encoder import build_text_table, classify_batch
 from ltt.lora import LoraConfig, attach, base_weight_hash
 from ltt.serial import config_from_json
 from ltt.tensor import Tensor, no_grad
@@ -17,6 +17,7 @@ from ltt.ttt import (EpisodeResult, FullTuneEncoder, Instance, TttConfig,
 from ltt.views import normalize, sample_mask
 
 from conftest import build_tiny_model
+from helpers import keep_rows
 
 CLASSES = ["red circle", "blue square", "green triangle"]
 
@@ -182,12 +183,13 @@ def test_mae_loss_is_mean_of_per_view_mses(setup, target):
     cls_u, tok_u = adapted.encode_image_batch(views)
     terms = []
     for j in range(len(views)):
-        masked = sample_mask(p_total, 0.5, rng).masked_indices
-        cls_m, tok_m = adapted.encode_image(views[j], mask=masked)
+        masked = sample_mask(p_total, 0.5, rng)
+        cls_m, tok_m = adapted.encode_image_batch(views[j][None],
+                                                  keep=keep_rows(p_total, [masked]))
         if target == "class_token":
-            diff = cls_m.data - cls_u.data[j]
+            diff = cls_m.data[0] - cls_u.data[j]
         else:
-            diff = tok_m.data - tok_u.data[j][np.setdiff1d(np.arange(p_total), masked)]
+            diff = tok_m.data[0] - tok_u.data[j][np.setdiff1d(np.arange(p_total), masked)]
         terms.append(np.mean(diff.astype(np.float64) ** 2))
     assert loss == pytest.approx(np.mean(terms), rel=1e-6)
 
@@ -207,8 +209,8 @@ def test_mae_loss_empty_selection(setup):
 def zero_shot_prediction(model, table, image):
     view0 = normalize(image, model.norm_mean, model.norm_std)
     with no_grad():
-        cls, _ = model.encode_image(view0)
-        probs = classify(cls, table, model.tau).data
+        cls, _ = model.encode_image_batch(view0[None])
+        probs = classify_batch(cls, table, model.tau).data[0]
     return int(np.argmax(probs)), probs
 
 
@@ -253,10 +255,9 @@ def test_adapters_update_then_reset(setup):
     assert ep.mem_loss is not None and ep.total_loss is not None
     # after the episode the adapters are back to identity
     zs_after, probs_after = zero_shot_prediction(model, table, items[1].image)
-    adapted_cls, _ = encoder.encode_image(
-        normalize(items[1].image, model.norm_mean, model.norm_std))
-    base_cls, _ = model.encode_image(
-        normalize(items[1].image, model.norm_mean, model.norm_std))
+    view0 = normalize(items[1].image, model.norm_mean, model.norm_std)[None]
+    adapted_cls, _ = encoder.encode_image_batch(view0)
+    base_cls, _ = model.encode_image_batch(view0)
     assert np.array_equal(adapted_cls.data, base_cls.data)
     assert zs_before == zs_after
     assert base_weight_hash(model) == before
@@ -272,13 +273,12 @@ def test_episode_b_becomes_nonzero_during_step(setup):
     from ltt.optim import AdamW
     from ltt.tensor import Tape, backward
     from ltt.views import make_views
-    from ltt.encoder import classify_batch
-    batch = make_views(items[2].image, cfg.num_views, rng, model.norm_mean,
+    views = make_views(items[2].image, cfg.num_views, rng, model.norm_mean,
                        model.norm_std, 32)
     for p in encoder.trainable_params():
         p.zero_grad()
     with Tape():
-        cls_all, _ = encoder.encode_image_batch(batch.views)
+        cls_all, _ = encoder.encode_image_batch(views)
         probs_t = classify_batch(cls_all, table, model.tau)
         sel = select_confident(probs_t.data, cfg.cutoff)
         loss = mem_loss(T.index_select(probs_t, sel, axis=0))
