@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SyntheticShiftSpec, generate, load_pairs, load_split
+from .data import DatasetManifest, SyntheticShiftSpec, generate, load_pairs, load_split
 from .encoder import ClipModel, TextFeatureTable, VitConfig
 from .lora import LoraConfig
 from .metrics import report_csv_rows
@@ -83,6 +83,10 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg_obj["seed"] = args.seed
     cfg = config_from_json(TttConfig, cfg_obj)
+    manifest = DatasetManifest.load(Path(args.data) / "manifest.json")
+    if table.class_names != manifest.class_names:
+        raise ValueError(f"table classes {table.class_names} differ from the data's "
+                         f"{manifest.class_names}, order included")
     items = load_split(args.data, args.split)
     report = run_stream(items, model, table, cfg, dataset_name=args.split,
                         adapters_path=args.adapters)

@@ -24,6 +24,12 @@ LOGIT_SCALE_INIT = math.log(100.0)  # 1/tau starts at the clamp; softer inits
 LOGIT_SCALE_MAX = math.log(100.0)   # weaken the learned features at this scale
 
 
+def _check_positive(cfg, *names: str):
+    for name in names:
+        if not getattr(cfg, name) > 0:  # also rejects NaN
+            raise ValueError(f"{type(cfg).__name__}.{name} must be > 0, got {getattr(cfg, name)}")
+
+
 @dataclass
 class VitConfig:
     image_size: int = 32
@@ -33,9 +39,10 @@ class VitConfig:
     num_heads: int = 4
     mlp_ratio: float = 4.0
     out_dim: int = 64
-    class_token: bool = True
 
     def __post_init__(self):
+        _check_positive(self, "image_size", "patch_size", "embed_dim", "num_heads",
+                        "mlp_ratio", "out_dim")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -44,8 +51,6 @@ class VitConfig:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
         if self.num_layers < 2:
             raise ValueError("need num_layers >= 2")
-        if not self.class_token:
-            raise ValueError("class token is required")
 
     @property
     def num_patches(self) -> int:
@@ -66,6 +71,7 @@ class TextConfig:
     out_dim: int = 64
 
     def __post_init__(self):
+        _check_positive(self, "vocab_size", "context", "width", "num_heads", "out_dim")
         if self.width % self.num_heads != 0:
             raise ValueError(f"width {self.width} not divisible by {self.num_heads} heads")
 
@@ -214,6 +220,8 @@ class ClipModel:
         if "meta.config" not in arrays or "meta.vocab" not in arrays:
             raise ValueError(f"checkpoint {path} is missing meta entries")
         cfg = arrays.pop("meta.config")
+        if cfg.shape != (12,) or not np.isfinite(cfg).all():
+            raise ValueError(f"checkpoint meta.config must hold 12 finite numbers, got {cfg}")
         if int(cfg[0]) != META_VERSION:
             raise ValueError(f"unsupported checkpoint meta version {cfg[0]}")
         vocab_blob = arrays.pop("meta.vocab").astype(np.uint8).tobytes().decode("utf-8")
@@ -264,37 +272,29 @@ class ClipModel:
     def _p(self, name: str) -> Tensor:
         return self.params[name].value
 
-    def _block(self, x: Tensor, prefix: str, num_heads: int, adapter_fn=None) -> Tensor:
+    def _block(self, x: Tensor, prefix: str, num_heads: int, adapters=None,
+               layer: int = 0) -> Tensor:
         b, t, d = x.shape
         dh = d // num_heads
+
+        def attn_proj(h: Tensor, tag: str) -> Tensor:
+            y = T.linear(h, self._p(f"{prefix}.attn.w{tag}"), self._p(f"{prefix}.attn.b{tag}"))
+            ad = adapters.get((layer, tag)) if adapters else None
+            return y if ad is None else T.add(y, ad.delta(h))
+
         h = T.layer_norm(x, self._p(f"{prefix}.ln1.g"), self._p(f"{prefix}.ln1.b"))
-        heads = {}
-        for m in ("wq", "wk", "wv"):
-            w = T.matmul(h, T.transpose(self._p(f"{prefix}.attn.{m}"), (1, 0)))
-            w = T.add(w, self._p(f"{prefix}.attn.{m.replace('w', 'b')}"))
-            ad = adapter_fn(prefix, m) if adapter_fn else None
-            if ad is not None:
-                w = T.add(w, ad.delta(h))
-            heads[m] = T.transpose(T.reshape(w, (b, t, num_heads, dh)), (0, 2, 1, 3))
-        scores = T.matmul(heads["wq"], T.transpose(heads["wk"], (0, 1, 3, 2)))
+        q, k, v = (T.transpose(T.reshape(attn_proj(h, m), (b, t, num_heads, dh)), (0, 2, 1, 3))
+                   for m in "qkv")
+        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
         scores = T.mul(scores, 1.0 / math.sqrt(dh))
         att = T.softmax(scores, axis=-1)
-        ctx = T.matmul(att, heads["wv"])
+        ctx = T.matmul(att, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-        out = T.matmul(ctx, T.transpose(self._p(f"{prefix}.attn.wo"), (1, 0)))
-        out = T.add(out, self._p(f"{prefix}.attn.bo"))
-        ad = adapter_fn(prefix, "wo") if adapter_fn else None
-        if ad is not None:
-            out = T.add(out, ad.delta(ctx))
-        x = T.add(x, out)
+        x = T.add(x, attn_proj(ctx, "o"))
 
         h = T.layer_norm(x, self._p(f"{prefix}.ln2.g"), self._p(f"{prefix}.ln2.b"))
-        h = T.add(T.matmul(h, T.transpose(self._p(f"{prefix}.mlp.w1"), (1, 0))),
-                  self._p(f"{prefix}.mlp.b1"))
-        h = T.gelu(h)
-        h = T.add(T.matmul(h, T.transpose(self._p(f"{prefix}.mlp.w2"), (1, 0))),
-                  self._p(f"{prefix}.mlp.b2"))
-        return T.add(x, h)
+        h = T.gelu(T.linear(h, self._p(f"{prefix}.mlp.w1"), self._p(f"{prefix}.mlp.b1")))
+        return T.add(x, T.linear(h, self._p(f"{prefix}.mlp.w2"), self._p(f"{prefix}.mlp.b2")))
 
     def patchify(self, images: np.ndarray) -> np.ndarray:
         """(B,3,H,W) -> (B, P, 3*p*p), row-major patch order."""
@@ -305,27 +305,23 @@ class ClipModel:
         x = x.transpose(0, 2, 4, 1, 3, 5)
         return np.ascontiguousarray(x.reshape(b, g * g, c * p * p), dtype=self.dtype)
 
-    def encode_image_batch(self, images, adapter_fn=None, keep=None) -> tuple[Tensor, Tensor]:
+    def encode_image_batch(self, images, adapters=None, keep=None) -> tuple[Tensor, Tensor]:
         """Forward of a batch. Returns (cls B x D_e, tokens B x (K-1) x D_e).
+
+        adapters, when given, maps (1-based layer, matrix tag) to the LoRA
+        adapter whose delta is added to that attention projection.
 
         keep, when given, is a (B, K) int array of the tokens each row keeps:
         0 is the class token and 1 + j is patch j. Positions are added before
         the gather. Without it every row keeps all 1 + P tokens.
         """
         imgs = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=self.dtype)
-        self._check_image_shape(imgs)
-        return self._forward_image(self.patchify(imgs), keep, adapter_fn)
-
-    def _check_image_shape(self, imgs: np.ndarray):
         s = self.vit.image_size
         if imgs.ndim != 4 or imgs.shape[1:] != (3, s, s):
             raise ValueError(f"expected images of shape (*,3,{s},{s}), got {imgs.shape}")
-
-    def _forward_image(self, patches: np.ndarray, keep, adapter_fn) -> tuple[Tensor, Tensor]:
-        b = patches.shape[0]
+        b = imgs.shape[0]
         d = self.vit.embed_dim
-        x = T.matmul(Tensor(patches), T.transpose(self._p("img.patch.w"), (1, 0)))
-        x = T.add(x, self._p("img.patch.b"))
+        x = T.linear(Tensor(self.patchify(imgs)), self._p("img.patch.w"), self._p("img.patch.b"))
         cls = T.broadcast_to(T.reshape(self._p("img.cls"), (1, 1, d)), (b, 1, d))
         x = T.concat([cls, x], axis=1)
         x = T.add(x, self._p("img.pos"))
@@ -337,9 +333,9 @@ class ClipModel:
                 raise ValueError(f"keep must be a ({b}, K) array of token indices in [0, {n})")
             x = gather_rows(x, keep)
         for i in range(self.vit.num_layers):
-            x = self._block(x, f"img.layers.{i}", self.vit.num_heads, adapter_fn)
+            x = self._block(x, f"img.layers.{i}", self.vit.num_heads, adapters, i + 1)
         x = T.layer_norm(x, self._p("img.ln_f.g"), self._p("img.ln_f.b"))
-        x = T.matmul(x, T.transpose(self._p("img.proj"), (1, 0)))
+        x = T.linear(x, self._p("img.proj"))
         cls_out = T.reshape(T.slice_axis(x, 1, 0, 1), (b, self.vit.out_dim))
         tok_out = T.slice_axis(x, 1, 1, x.shape[1])
         return cls_out, tok_out
@@ -363,7 +359,7 @@ class ClipModel:
             x = self._block(x, f"txt.layers.{i}", self.txt.num_heads)
         x = T.layer_norm(x, self._p("txt.ln_f.g"), self._p("txt.ln_f.b"))
         eos = T.reshape(T.slice_axis(x, 1, L - 1, L), (b, self.txt.width))
-        return T.matmul(eos, T.transpose(self._p("txt.proj"), (1, 0)))
+        return T.linear(eos, self._p("txt.proj"))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +374,7 @@ def classify_batch(class_embs: Tensor, table: TextFeatureTable, tau: float) -> T
         raise ValueError("need at least 2 classes")
     feats = Tensor(np.asarray(table.features, dtype=class_embs.data.dtype))
     v = T.l2_normalize(class_embs, axis=-1)
-    cos = T.matmul(v, T.transpose(feats, (1, 0)))
+    cos = T.linear(v, feats)
     return T.softmax(T.mul(cos, 1.0 / tau), axis=-1)
 
 
@@ -412,7 +408,7 @@ def contrastive_loss(image_embs: Tensor, text_embs: Tensor, scale) -> Tensor:
     if image_embs.shape != text_embs.shape:
         raise ValueError(f"batch mismatch: {image_embs.shape} vs {text_embs.shape}")
     b = image_embs.shape[0]
-    sims = T.matmul(image_embs, T.transpose(text_embs, (1, 0)))
+    sims = T.linear(image_embs, text_embs)
     logits = T.mul(sims, scale) if isinstance(scale, Tensor) else T.mul(sims, float(scale))
     eye = Tensor(np.eye(b, dtype=image_embs.data.dtype))
     row = T.tsum(T.mul(T.log_softmax(logits, axis=1), eye))

@@ -56,9 +56,7 @@ class LoraAdapter:
     """One (A, B) pair attached in parallel to a frozen projection matrix."""
 
     def __init__(self, base_name: str, d1: int, d2: int, rank: int, scale: float, dtype):
-        self.base_name = base_name
         self.scale = scale
-        self.d1 = d1
         self.d2 = d2
         self.a = Parameter(f"{base_name}.lora_a", Tensor(np.zeros((rank, d2), dtype=dtype)),
                            trainable=True)
@@ -77,9 +75,7 @@ class LoraAdapter:
 
     def delta(self, x: Tensor) -> Tensor:
         # gamma * (x A^T) B^T, the parallel branch of the adapted projection
-        h = T.matmul(x, T.transpose(self.a.value, (1, 0)))
-        h = T.matmul(h, T.transpose(self.b.value, (1, 0)))
-        return T.mul(h, float(self.scale))
+        return T.mul(T.linear(T.linear(x, self.a.value), self.b.value), float(self.scale))
 
 
 class AdaptedEncoder:
@@ -103,18 +99,8 @@ class AdaptedEncoder:
         self.baseline: dict[str, np.ndarray] | None = None
         self.reset(rng)
 
-    # forward hooks -------------------------------------------------------
-
-    def _adapter_fn(self, prefix: str, matrix: str):
-        if not prefix.startswith("img.layers."):
-            return None
-        li = int(prefix.split(".")[2]) + 1
-        return self.adapters.get((li, matrix[-1]))
-
     def encode_image_batch(self, images, keep=None):
-        return self.model.encode_image_batch(images, adapter_fn=self._adapter_fn, keep=keep)
-
-    # lifecycle -----------------------------------------------------------
+        return self.model.encode_image_batch(images, self.adapters, keep)
 
     def trainable_params(self) -> list[Parameter]:
         out = []
@@ -142,24 +128,31 @@ class AdaptedEncoder:
     def set_baseline_from_current(self):
         self.baseline = {p.name: p.data.copy() for p in self.trainable_params()}
 
+    def _meta(self) -> np.ndarray:
+        return np.asarray([self.config.rank, self.config.scale,
+                           len(self.config.matrices), len(self.adapters)], dtype=np.float32)
+
     def save_adapters(self, path):
         arrays = {p.name: p.data for p in self.trainable_params()}
-        arrays["meta.lora"] = np.asarray(
-            [self.config.rank, self.config.scale,
-             len(self.config.matrices), len(self.adapters)], dtype=np.float32)
+        arrays["meta.lora"] = self._meta()
         write_checkpoint(path, arrays)
 
     def load_adapters(self, path):
+        """Install adapter weights from `path` as the episode baseline, after
+        checking every entry against this encoder's LoraConfig."""
         arrays = read_checkpoint(path)
-        arrays.pop("meta.lora", None)
-        for key in sorted(self.adapters):
-            ad = self.adapters[key]
-            if ad.a.name not in arrays or ad.b.name not in arrays:
-                raise ValueError(f"adapter checkpoint missing {ad.a.name!r}")
-            if arrays[ad.a.name].shape != ad.a.data.shape:
-                raise ValueError(
-                    f"adapter {ad.a.name!r} has shape {arrays[ad.a.name].shape}, "
-                    f"expected {ad.a.data.shape}")
+        meta = arrays.pop("meta.lora", None)
+        if meta is None or not np.array_equal(meta, self._meta()):
+            raise ValueError(f"adapter checkpoint {path} holds (rank, scale, matrices, adapters) "
+                             f"{None if meta is None else meta.tolist()}, "
+                             f"the run has {self._meta().tolist()}")
+        for p in self.trainable_params():
+            if p.name not in arrays:
+                raise ValueError(f"adapter checkpoint missing {p.name!r}")
+            if arrays[p.name].shape != p.data.shape:
+                raise ValueError(f"adapter {p.name!r} has shape {arrays[p.name].shape}, "
+                                 f"expected {p.data.shape}")
+        for ad in self.adapters.values():
             ad.load_state(arrays[ad.a.name], arrays[ad.b.name])
         self.set_baseline_from_current()
 

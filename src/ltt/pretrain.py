@@ -17,6 +17,8 @@ from .tensor import Tape, backward
 from .views import normalize, random_resized_crop
 
 PRETRAIN_CROP_RANGE = (0.5, 1.0)  # milder than test-time crops: shapes are localized
+PRETRAIN_LR = 1e-3
+PRETRAIN_WD = 0.1
 
 
 def _encode_captions(model: ClipModel, caption_ids: list[list[int]]):
@@ -36,14 +38,13 @@ def _encode_captions(model: ClipModel, caption_ids: list[list[int]]):
 
 
 def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
-             seed: int = 0, batch_size: int = 64, base_lr: float = 1e-3,
-             wd: float = 0.1, augment: bool = True) -> tuple[ClipModel, list[float]]:
+             seed: int = 0, batch_size: int = 64) -> tuple[ClipModel, list[float]]:
     """Train image and text encoders with the symmetric contrastive loss.
 
     Cosine-decayed lr; decoupled decay applies to weight matrices only.
-    With `augment` the image side sees random resized crops and flips, so
-    test-time crop views stay in-distribution. Returns the trained
-    (frozen) model and the per-step loss trace.
+    The image side sees random resized crops and flips, so test-time crop
+    views stay in-distribution. Returns the trained (frozen) model and the
+    per-step loss trace.
     """
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
@@ -66,7 +67,6 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     cap_index = {c: i for i, c in enumerate(captions)}
     pair_caption = np.array([cap_index[c] for _, c in pairs])
     raw_images = [np.asarray(img, dtype=np.float32) for img, _ in pairs]
-    plain = np.stack([normalize(img, mean, std) for img in raw_images])
 
     skip_decay = ("norm.mean", "norm.std")
     for name, p in model.params.items():
@@ -74,8 +74,8 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
             p.set_trainable(True)
     decay = [p for p in model.trainable_params() if p.data.ndim >= 2]
     no_decay = [p for p in model.trainable_params() if p.data.ndim < 2]
-    opt_w = AdamW(lr=base_lr, wd=wd)
-    opt_b = AdamW(lr=base_lr, wd=0.0)
+    opt_w = AdamW(lr=PRETRAIN_LR, wd=PRETRAIN_WD)
+    opt_b = AdamW(lr=PRETRAIN_LR, wd=0.0)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7261]))
     n = len(pairs)
@@ -87,15 +87,11 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             idx = order[b * batch_size:(b + 1) * batch_size]
-            if augment:
-                batch_imgs = np.stack([
-                    normalize(random_resized_crop(raw_images[i], rng,
-                                                  vit_cfg.image_size,
-                                                  PRETRAIN_CROP_RANGE), mean, std)
-                    for i in idx])
-            else:
-                batch_imgs = plain[idx]
-            lr = base_lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
+            batch_imgs = np.stack([
+                normalize(random_resized_crop(raw_images[i], rng, vit_cfg.image_size,
+                                              PRETRAIN_CROP_RANGE), mean, std)
+                for i in idx])
+            lr = PRETRAIN_LR * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
             opt_w.lr = lr
             opt_b.lr = lr
             for p in model.trainable_params():

@@ -192,6 +192,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w.T (+ b) as one node; w is stored (out, in), b is (out,)."""
+    _check_same_dtype("linear", x, w)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear: cannot apply weight {w.shape} to {x.shape}")
+    if b is not None and (b.shape != w.shape[:1] or b.dtype != w.dtype):
+        raise ShapeError(f"linear: bias {b.shape} {b.dtype} does not fit weight {w.shape}")
+    data = x.data @ w.data.T
+    if b is not None:
+        data += b.data
+    need_x, need_w = x._tracked(), w._tracked()
+
+    def backward(g):
+        gx = g @ w.data if need_x else None
+        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T if need_w else None
+        return gx, gw, None if b is None else _unbroadcast(g, b.shape)
+
+    return _make(data, (x, w) if b is None else (x, w, b), backward)
+
+
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.shape[axis]
@@ -325,7 +345,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EP
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
     data = xhat * gamma.data + beta.data
-    n = x.shape[-1]
 
     def backward(g):
         dxhat = g * gamma.data

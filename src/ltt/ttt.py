@@ -256,7 +256,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     p_total = model.vit.num_patches
 
     if cfg.mode == "zero_shot":
-        view0 = normalize(instance.image.astype(np.float32), model.norm_mean, model.norm_std)
+        view0 = make_views(instance.image, 1, rng, model.norm_mean, model.norm_std, size)[0]
         probs = _classify_view0(encoder, view0, table, tau)
         return EpisodeResult(
             instance_id=instance.id, predicted=int(np.argmax(probs)),

@@ -70,12 +70,12 @@ def _random_crop_box(h: int, w: int, rng: np.random.Generator,
 
 
 def random_resized_crop(img: np.ndarray, rng: np.random.Generator, out_size: int,
-                        area_range=CROP_AREA_RANGE, flip_prob: float = FLIP_PROB) -> np.ndarray:
+                        area_range=CROP_AREA_RANGE) -> np.ndarray:
     """One crop-resize-flip draw; shared by view generation and pretraining."""
     h, w = img.shape[1:]
     top, left, ch, cw = _random_crop_box(h, w, rng, area_range)
     crop = resize_bilinear(img[:, top:top + ch, left:left + cw], out_size, out_size)
-    if rng.random() < flip_prob:
+    if rng.random() < FLIP_PROB:
         crop = crop[:, :, ::-1]
     return crop
 

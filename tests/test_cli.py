@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ltt.cli import main
-from ltt.serial import read_tensor, write_tensor
+from ltt.serial import read_checkpoint, read_tensor, write_checkpoint, write_tensor
 
 PKG = Path(__file__).resolve().parents[1] / "src"
 
@@ -174,6 +174,63 @@ def test_embed_text_rejects_oversized_checkpoint_tensor(tmp_path, capsys):
                  "--out", str(tmp_path / "t.lttc")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: truncated") and err.count("\n") == 1
+
+
+def assert_one_error(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+def test_run_rejects_adapters_of_another_config(workspace, tmp_path, capsys):
+    (tmp_path / "lora.json").write_text(json.dumps({"scale": 2.0, "rank": 2}))
+    assert main(["lora-pretrain", "--ckpt", str(workspace / "model.lttw"),
+                 "--data", str(workspace / "data"), "--lora", str(tmp_path / "lora.json"),
+                 "--out", str(tmp_path / "adapters.lttw")]) == 0
+    capsys.readouterr()
+    (tmp_path / "ttt.json").write_text(json.dumps({"lora": {"scale": 12.0, "rank": 2}}))
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"), "--data", str(workspace / "data"),
+                 "--mode", "lora-ttt", "--config", str(tmp_path / "ttt.json"),
+                 "--adapters", str(tmp_path / "adapters.lttw"), "--out", str(out)]) == 1
+    assert_one_error(capsys, "[2.0, 2.0, 4.0, 8.0]")
+    assert not (out / "episodes.jsonl").exists()
+
+
+def test_run_rejects_short_model_meta(workspace, tmp_path, capsys):
+    arrays = read_checkpoint(workspace / "model.lttw")
+    arrays["meta.config"] = arrays["meta.config"][:5]
+    write_checkpoint(tmp_path / "model.lttw", arrays)
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(tmp_path / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"), "--data", str(workspace / "data"),
+                 "--mode", "zero-shot", "--out", str(out)]) == 1
+    assert_one_error(capsys, "meta.config")
+
+
+@pytest.mark.parametrize("bad", [{"patch_size": 0}, {"num_heads": 0}, {"embed_dim": -32},
+                                 {"mlp_ratio": 0.0}])
+def test_pretrain_rejects_non_positive_model_sizes(workspace, tmp_path, capsys, bad):
+    (tmp_path / "model.json").write_text(json.dumps(bad))
+    assert main(["pretrain", "--data", str(workspace / "data"),
+                 "--config", str(tmp_path / "model.json"),
+                 "--out", str(tmp_path / "model.lttw")]) == 1
+    assert_one_error(capsys, f"{next(iter(bad))} must be > 0")
+    assert not (tmp_path / "model.lttw").exists()
+
+
+def test_run_rejects_table_of_other_class_order(workspace, tmp_path, capsys):
+    manifest = json.loads((workspace / "data" / "manifest.json").read_text())
+    assert main(["embed-text", "--ckpt", str(workspace / "model.lttw"),
+                 "--classes", *reversed(manifest["class_names"]),
+                 "--out", str(tmp_path / "table.lttc")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(tmp_path / "table.lttc"), "--data", str(workspace / "data"),
+                 "--mode", "zero-shot", "--out", str(out)]) == 1
+    assert_one_error(capsys, "order included")
+    assert not (out / "report.json").exists()
 
 
 def test_console_entry_point(workspace):

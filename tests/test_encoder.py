@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ltt import tensor as T
-from ltt.encoder import (ClipModel, TextFeatureTable, build_text_table, classify_batch,
-                         contrastive_loss)
+from ltt.encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig,
+                         build_text_table, classify_batch, contrastive_loss)
 from ltt.lora import LoraConfig, attach
+from ltt.serial import read_checkpoint, write_checkpoint
 from ltt.tensor import Tensor
 from ltt.views import sample_mask
 
@@ -299,3 +300,25 @@ def test_checkpoint_round_trip_preserves_outputs(tiny_model, tmp_path):
     assert np.array_equal(tiny_model.encode_text_batch([ids]).data,
                           back.encode_text_batch([ids]).data)
     assert back.tau == pytest.approx(tiny_model.tau, rel=1e-6)
+
+
+@pytest.mark.parametrize("meta", [np.arange(5.0), np.array([1.0] + [np.inf] * 11)],
+                         ids=["short", "inf"])
+def test_load_rejects_malformed_meta_config(tiny_model, tmp_path, meta):
+    path = tmp_path / "model.lttw"
+    tiny_model.save(path)
+    arrays = read_checkpoint(path)
+    arrays["meta.config"] = meta.astype(np.float32)
+    write_checkpoint(path, arrays)
+    with pytest.raises(ValueError, match="meta.config"):
+        ClipModel.load(path)
+
+
+@pytest.mark.parametrize("cls, kw", [
+    (VitConfig, {"patch_size": 0}), (VitConfig, {"num_heads": -4}),
+    (VitConfig, {"image_size": 0}), (VitConfig, {"mlp_ratio": float("nan")}),
+    (TextConfig, {"vocab_size": 5, "width": 0}), (TextConfig, {"vocab_size": 5, "num_heads": 0}),
+    (TextConfig, {"vocab_size": 5, "context": -1}), (TextConfig, {"vocab_size": 0})])
+def test_configs_reject_non_positive_sizes(cls, kw):
+    with pytest.raises(ValueError, match="must be > 0"):
+        cls(**kw)

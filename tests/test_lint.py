@@ -36,3 +36,32 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def unused_locals(tree: ast.Module):
+    """(name, line) for each plain name a function assigns and never reads.
+
+    Reads inside nested functions count, so closure state is used; names
+    bound by tuple unpacking, `_`, and `global`/`nonlocal` names are exempt.
+    """
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {name for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                 for name in n.names}
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) and node.value
+                       else [])
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id != "_" and t.id not in read:
+                    yield t.id, t.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [f"{name} (line {line})" for name, line in unused_locals(tree)]
+    assert not unused, f"{path.name} assigns locals it never reads: {', '.join(unused)}"

@@ -8,7 +8,7 @@ from ltt import tensor as T
 from ltt.lora import (LoraConfig, attach, base_weight_hash,
                       trainable_parameter_count)
 from ltt.optim import AdamW
-from ltt.serial import config_from_json
+from ltt.serial import config_from_json, read_checkpoint, write_checkpoint
 from ltt.tensor import Tape, Tensor, backward
 
 
@@ -167,3 +167,26 @@ def test_adapter_checkpoint_round_trip(tiny_model, tmp_path):
     fresh.reset(np.random.default_rng(25))
     c, _ = fresh.encode_image_batch(img[None])
     assert np.array_equal(b.data, c.data)
+
+
+@pytest.mark.parametrize("edit", ["b_shape", "scale", "matrices", "no_meta"])
+def test_adapter_checkpoint_checked_before_loading(tiny_model, tmp_path, edit):
+    path = tmp_path / "adapters.lttw"
+    attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(21)).save_adapters(path)
+    arrays = read_checkpoint(path)
+    last = sorted(arrays)[-2]  # the last adapter's B, just before meta.lora
+    if edit == "b_shape":
+        arrays[last] = arrays[last][:, :1]
+    elif edit == "scale":
+        arrays["meta.lora"][1] = 2.0
+    elif edit == "matrices":
+        arrays["meta.lora"][2] = 2.0
+    else:
+        del arrays["meta.lora"]
+    write_checkpoint(path, arrays)
+    fresh = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
+    before = [p.data.copy() for p in fresh.trainable_params()]
+    with pytest.raises(ValueError, match="lora_b" if edit == "b_shape" else "rank"):
+        fresh.load_adapters(path)
+    assert all(np.array_equal(p.data, q) for p, q in zip(fresh.trainable_params(), before))
+    assert fresh.baseline is None

@@ -125,6 +125,31 @@ def test_no_recording_outside_tape():
         assert tape.num_nodes == 1
 
 
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_matches_matmul_of_transposed_weight_bitexact(bias):
+    rng = np.random.default_rng(17)
+    x, w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+               for s in [(4, 17, 64), (48, 64), (48,)])
+    g = Tensor(rng.normal(size=(4, 17, 48)).astype(np.float32))
+
+    def run(forward):
+        for leaf in (x, w, b):
+            leaf.grad = None
+        with Tape():
+            y = forward()
+            backward(T.tsum(T.mul(y, g)))
+        return [y.data, x.grad, w.grad, b.grad]
+
+    def reference():
+        # the op sequence every weight product ran before linear existed
+        y = T.matmul(x, T.transpose(w, (1, 0)))
+        return T.add(y, b) if bias else y
+
+    new, old = run(lambda: T.linear(x, w, b if bias else None)), run(reference)
+    for a, c in zip(new, old):
+        assert (a is None and c is None) or np.array_equal(a, c)
+
+
 # ---------------------------------------------------------------------------
 # per-primitive gradient checks against central finite differences
 
@@ -136,6 +161,8 @@ CASES = {
     "matmul": (lambda a, b: T.matmul(a, b), [(2, 3), (3, 4)]),
     "matmul_batched": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (4, 2)]),
     "matmul_batched2": (lambda a, b: T.matmul(a, b), [(2, 2, 3), (2, 3, 2)]),
+    "linear": (lambda x, w, b: T.linear(x, w, b), [(2, 3, 4), (5, 4), (5,)]),
+    "linear_no_bias": (lambda x, w: T.linear(x, w), [(3, 4), (2, 4)]),
     "mean_all": (lambda a: T.mean(a), [(3, 4)]),
     "mean_axis": (lambda a: T.mean(a, axis=0), [(3, 4)]),
     "sum_axis": (lambda a: T.tsum(a, axis=1), [(3, 4)]),
@@ -182,6 +209,10 @@ def test_gradcheck_primitive(name):
 def test_shape_error_messages():
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(t(np.ones((2, 3))), t(np.ones((3, 2))))
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(t(np.ones((2, 3))), t(np.ones((2, 3))), t(np.ones(3)))
     with pytest.raises(ShapeError, match="mse"):
         T.mse(t(np.ones(3)), t(np.ones(4)))
     with pytest.raises(ShapeError, match="add"):

@@ -14,7 +14,7 @@ from ltt.ttt import (EpisodeResult, FullTuneEncoder, Instance, TttConfig,
                      build_encoder_for_mode, entropy_np, episode_rng, lora_pretrain,
                      mae_loss, mem_loss, run_episode, run_stream, select_confident,
                      total_loss)
-from ltt.views import normalize, sample_mask
+from ltt.views import make_views, normalize, sample_mask
 
 from conftest import build_tiny_model
 from helpers import keep_rows
@@ -386,6 +386,18 @@ def test_full_tune_trainable_count():
     ft.finish()
 
 
+def test_zero_shot_resizes_view0_like_adapting_modes(setup):
+    model, table, _ = setup
+    image = np.random.default_rng(41).uniform(0, 1, size=(3, 48, 48)).astype(np.float32)
+    item = Instance("big", image, label=0)
+    ep = run_episode(item, model, table, TttConfig(mode="zero_shot"), episode_rng(0, item.id))
+    view0 = make_views(image, 1, np.random.default_rng(0), model.norm_mean, model.norm_std,
+                       model.vit.image_size)
+    with no_grad():
+        probs = classify_batch(model.encode_image_batch(view0)[0], table, model.tau).data[0]
+    assert np.array_equal(np.asarray(ep.probs, dtype=np.float32), probs)
+
+
 # ---------------------------------------------------------------------------
 # streams
 
@@ -492,7 +504,7 @@ def test_lora_pretrain_checkpoint_usable_in_stream(setup, tmp_path):
                 "a photo of a green triangle"]
     pairs = [(it.image, captions[it.label]) for it in items]
     encoder, _ = lora_pretrain(model, pairs, 1, np.random.default_rng(2),
-                               LoraConfig(rank=2), lr=1e-3, batch_size=5)
+                               small_cfg().lora, lr=1e-3, batch_size=5)
     path = tmp_path / "adapters.lttw"
     encoder.save_adapters(path)
     report = run_stream(items[:3], model, table, small_cfg(), adapters_path=path)
