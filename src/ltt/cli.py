@@ -50,6 +50,8 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     vit_cfg = config_from_json(VitConfig, _load_json(args.config)) if args.config else VitConfig()
     model, losses = pretrain(args.data, vit_cfg, epochs=args.epochs, seed=args.seed)
+    if not losses:
+        raise ValueError(f"no training step ran in {args.epochs} epoch(s); nothing saved")
     model.save(args.out)
     print(f"pretrained {args.epochs} epochs, final loss {losses[-1]:.4f}, "
           f"saved to {args.out}")
@@ -69,6 +71,8 @@ def cmd_lora_pretrain(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x10AD]))
     encoder, losses = lora_pretrain(model, pairs, args.epochs, rng, lora_cfg,
                                     lr=args.lr)
+    if not losses:
+        raise ValueError(f"no training step ran in {args.epochs} epoch(s); nothing saved")
     encoder.save_adapters(args.out)
     print(f"adapter pretraining: {len(losses)} steps, "
           f"loss {losses[0]:.4f} -> {losses[-1]:.4f}, saved to {args.out}")

@@ -53,6 +53,8 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
         raise ValueError("train split is empty")
     if batch_size > len(pairs):
         raise ValueError(f"batch size {batch_size} larger than dataset ({len(pairs)})")
+    if len({img.shape for img, _ in pairs}) > 1:  # each batch is cropped as one stack
+        raise ValueError("training images differ in size; pretraining needs one size")
 
     vit_cfg = vit_cfg or VitConfig()
     vocab = Vocab(vocabulary_words(manifest.class_names))
@@ -87,10 +89,9 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             idx = order[b * batch_size:(b + 1) * batch_size]
-            batch_imgs = np.stack([
-                normalize(random_resized_crop(raw_images[i], rng, vit_cfg.image_size,
-                                              PRETRAIN_CROP_RANGE), mean, std)
-                for i in idx])
+            crops = random_resized_crop(np.stack([raw_images[i] for i in idx]), rng,
+                                        vit_cfg.image_size, PRETRAIN_CROP_RANGE)
+            batch_imgs = normalize(crops, mean, std)
             lr = PRETRAIN_LR * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
             opt_w.lr = lr
             opt_b.lr = lr

@@ -154,9 +154,11 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    need_a, need_b = a._tracked(), b._tracked()
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None)
 
     return _make(data, (a, b), backward)
 
@@ -168,9 +170,11 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    need_a, need_b = a._tracked(), b._tracked()
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if need_a else None,
+                _unbroadcast(g * a.data, b.shape) if need_b else None)
 
     return _make(data, (a, b), backward)
 
@@ -202,12 +206,12 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     data = x.data @ w.data.T
     if b is not None:
         data += b.data
-    need_x, need_w = x._tracked(), w._tracked()
+    need_x, need_w, need_b = x._tracked(), w._tracked(), b is not None and b._tracked()
 
     def backward(g):
         gx = g @ w.data if need_x else None
         gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T if need_w else None
-        return gx, gw, None if b is None else _unbroadcast(g, b.shape)
+        return gx, gw, _unbroadcast(g, b.shape) if need_b else None
 
     return _make(data, (x, w) if b is None else (x, w, b), backward)
 
@@ -320,31 +324,50 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation, fixed so outputs agree across implementations
+    # tanh approximation, fixed so outputs agree across implementations:
+    # 0.5 * x * (1 + tanh(K0 * (x + K1 * x^3))), in place in this order
     x = a.data
-    inner = GELU_K0 * (x + GELU_K1 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= GELU_K1
+    t += x
+    t *= GELU_K0
+    np.tanh(t, out=t)
+    data = x * 0.5
+    data *= t + 1.0
 
     def backward(g):
-        d_inner = GELU_K0 * (1.0 + 3.0 * GELU_K1 * (x * x))
-        dgdx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * dgdx,)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x^2))
+        slope = x * x
+        slope *= 3.0 * GELU_K1
+        slope += 1.0
+        slope *= GELU_K0
+        slope *= x * 0.5 * (1.0 - t * t)
+        dgdx = t + 1.0
+        dgdx *= 0.5
+        dgdx += slope
+        dgdx *= g
+        return (dgdx,)
 
     return _make(data, (a,), backward)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
-    if a.shape[-1] != gamma.shape[-1] or a.shape[-1] != beta.shape[-1]:
-        raise ShapeError(
-            f"layer_norm: feature dim {a.shape} vs gamma {gamma.shape}, beta {beta.shape}"
-        )
+    if not (a.shape[-1] == gamma.shape[-1] == beta.shape[-1]
+            and a.dtype == gamma.dtype == beta.dtype):
+        raise ShapeError(f"layer_norm: x {a.shape} {a.dtype} vs gamma {gamma.shape} "
+                         f"{gamma.dtype}, beta {beta.shape} {beta.dtype}")
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - mu
+    buf = xhat * xhat  # variance as np.var takes it: squared deviations summed, / count
+    var = buf.sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    data = xhat * gamma.data + beta.data
+    xhat *= inv
+    data = np.multiply(xhat, gamma.data, out=buf)
+    data += beta.data
+    need_gamma, need_beta = gamma._tracked(), beta._tracked()
 
     def backward(g):
         dxhat = g * gamma.data
@@ -354,8 +377,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EP
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead).reshape(gamma.shape)
-        dbeta = g.sum(axis=lead).reshape(beta.shape)
+        dgamma = (g * xhat).sum(axis=lead).reshape(gamma.shape) if need_gamma else None
+        dbeta = g.sum(axis=lead).reshape(beta.shape) if need_beta else None
         return dx, dgamma, dbeta
 
     return _make(data, (a, gamma, beta), backward)
@@ -363,9 +386,9 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EP
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = x - x.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)

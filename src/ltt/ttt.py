@@ -23,7 +23,7 @@ from .encoder import (ClipModel, TextFeatureTable, classify_batch, contrastive_l
 from .lora import AdaptedEncoder, LoraConfig, attach
 from .optim import AdamW, Parameter
 from .tensor import Tape, Tensor, backward, no_grad
-from .views import make_views, normalize, sample_mask
+from .views import make_views, normalize, resize_bilinear, sample_mask
 
 MODES = ("zero_shot", "lora_ttt", "lora_ttt_m", "lora_ttt_a", "full_tune")
 RECON_TARGETS = ("class_token", "visual_tokens")
@@ -427,8 +427,9 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
                 emb = model.encode_text_batch([model.vocab.encode(caption)])
                 caption_feats[caption] = T.l2_normalize(emb, axis=-1).data[0]
 
-    images = np.stack([normalize(img, model.norm_mean, model.norm_std)
-                       for img, _ in pairs])
+    size = model.vit.image_size
+    images = np.stack([normalize(resize_bilinear(img, size, size), model.norm_mean,
+                                 model.norm_std) for img, _ in pairs])
     text_rows = np.stack([caption_feats[c] for _, c in pairs])
     opt = AdamW(lr=lr, wd=wd)
     losses: list[float] = []

@@ -27,28 +27,37 @@ def sample_mask(num_patches: int, ratio: float, rng: np.random.Generator) -> np.
     return np.sort(idx.astype(np.int64))
 
 
+def _bilinear(imgs: np.ndarray, boxes: np.ndarray, out_h: int, out_w: int,
+              flips: np.ndarray) -> np.ndarray:
+    """(n,C,H,W) -> (n,C,out_h,out_w): box (top, left, h, w) of image i, resampled
+    half-pixel-center bilinear, mirrored left-right where flips[i]. An x pass
+    over each source's rows, then a y pass, take a direct 2-D gather's float64
+    terms one for one, so each crop is bit-identical to resizing it alone. A crop
+    already of the output size samples i1 = i0: each pixel x gives x*1 + x*0 = x."""
+    same = ((boxes[:, 2] == out_h) & (boxes[:, 3] == out_w))[:, None]
+    k = np.arange(len(boxes))[:, None]
+    a = imgs.transpose(0, 3, 1, 2)  # (n, W, C, H): each pass gathers axis 1
+    for start, size, n_out, rev in ((boxes[:, 1:2], boxes[:, 3:], out_w, flips),
+                                    (boxes[:, :1], boxes[:, 2:3], out_h, np.zeros_like(flips))):
+        pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (size / n_out) - 0.5
+        pos = np.clip(pos, 0.0, size - 1.0)
+        i0 = np.floor(pos).astype(np.int64)
+        i1 = np.where(same, i0, np.minimum(i0 + 1, size - 1)) + start
+        wt = (pos - i0)[:, :, None, None]
+        i0 += start
+        for t in (i0, i1, wt):
+            t[rev] = t[rev, ::-1]
+        a = (a[k, i0] * (1 - wt) + a[k, i1] * wt).transpose(0, 3, 2, 1)
+    return a.transpose(0, 2, 3, 1).astype(imgs.dtype, order="C")
+
+
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """(C,h,w) -> (C,out_h,out_w), half-pixel-center bilinear."""
-    c, h, w = img.shape
+    _, h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
-    a = img[:, y0[:, None], x0[None, :]]
-    b = img[:, y0[:, None], x1[None, :]]
-    cc = img[:, y1[:, None], x0[None, :]]
-    d = img[:, y1[:, None], x1[None, :]]
-    top = a * (1 - wx) + b * wx
-    bot = cc * (1 - wx) + d * wx
-    return (top * (1 - wy) + bot * wy).astype(img.dtype)
+    return _bilinear(img[None], np.array([[0, 0, h, w]]), out_h, out_w,
+                     np.zeros(1, dtype=bool))[0]
 
 
 def normalize(img: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -69,15 +78,18 @@ def _random_crop_box(h: int, w: int, rng: np.random.Generator,
     return 0, 0, h, w  # fall back to the full (center) crop
 
 
-def random_resized_crop(img: np.ndarray, rng: np.random.Generator, out_size: int,
+def random_resized_crop(imgs: np.ndarray, rng: np.random.Generator, out_size: int,
                         area_range=CROP_AREA_RANGE) -> np.ndarray:
-    """One crop-resize-flip draw; shared by view generation and pretraining."""
-    h, w = img.shape[1:]
-    top, left, ch, cw = _random_crop_box(h, w, rng, area_range)
-    crop = resize_bilinear(img[:, top:top + ch, left:left + cw], out_size, out_size)
-    if rng.random() < FLIP_PROB:
-        crop = crop[:, :, ::-1]
-    return crop
+    """(n,C,H,W) -> (n,C,S,S): one crop-resize-flip draw per image, shared by
+    view generation and pretraining. Draws box then flip, image by image, and
+    resamples all crops in one pass."""
+    n, _, h, w = imgs.shape
+    boxes = np.empty((n, 4), dtype=np.int64)
+    flips = np.empty(n, dtype=bool)
+    for i in range(n):
+        boxes[i] = _random_crop_box(h, w, rng, area_range)
+        flips[i] = rng.random() < FLIP_PROB
+    return _bilinear(imgs, boxes, out_size, out_size, flips)
 
 
 def make_views(image: np.ndarray, n: int, rng: np.random.Generator,
@@ -91,6 +103,7 @@ def make_views(image: np.ndarray, n: int, rng: np.random.Generator,
         raise ValueError(f"expected (3,H,W) image, got {img.shape}")
     views = np.empty((n, 3, out_size, out_size), dtype=np.float32)
     views[0] = normalize(resize_bilinear(img, out_size, out_size), mean, std)
-    for i in range(1, n):
-        views[i] = normalize(random_resized_crop(img, rng, out_size), mean, std)
+    if n > 1:
+        crops = random_resized_crop(np.broadcast_to(img, (n - 1, *img.shape)), rng, out_size)
+        views[1:] = normalize(crops, mean, std)
     return views

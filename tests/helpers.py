@@ -1,5 +1,6 @@
-"""Shared oracles: central finite differences, relative-error metrics, and
-the keep rows of masked views."""
+"""Shared oracles: central finite differences, relative-error metrics, the
+keep rows of masked views, and the per-crop view path (one 2-D bilinear
+gather per crop) that the batched crop pass must match bit for bit."""
 
 from __future__ import annotations
 
@@ -61,3 +62,50 @@ def keep_rows(num_patches: int, masks) -> np.ndarray:
     every patch that masks[b] does not drop."""
     return np.stack([np.concatenate([[0], 1 + np.setdiff1d(np.arange(num_patches), m)])
                      for m in masks]).astype(np.int64)
+
+
+def resize_reference(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """(C,h,w) -> (C,out_h,out_w), half-pixel-center bilinear, one 2-D gather."""
+    c, h, w = img.shape
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[None, :, None]
+    wx = (xs - x0)[None, None, :]
+    a = img[:, y0[:, None], x0[None, :]]
+    b = img[:, y0[:, None], x1[None, :]]
+    cc = img[:, y1[:, None], x0[None, :]]
+    d = img[:, y1[:, None], x1[None, :]]
+    top = a * (1 - wx) + b * wx
+    bot = cc * (1 - wx) + d * wx
+    return (top * (1 - wy) + bot * wy).astype(img.dtype)
+
+
+def crop_reference(img: np.ndarray, rng: np.random.Generator, out_size: int,
+                   area_range=(0.3, 1.0)) -> np.ndarray:
+    """One crop of one (C,H,W) image: up to 10 box draws (area fraction, then
+    aspect in [3/4, 4/3], then top and left), the full image if none fits,
+    a resize, then a flip drawn with probability 1/2."""
+    h, w = img.shape[1:]
+    top, left, ch, cw = 0, 0, h, w
+    for _ in range(10):
+        area = rng.uniform(*area_range) * h * w
+        aspect = rng.uniform(3.0 / 4.0, 4.0 / 3.0)
+        bw = int(round(np.sqrt(area * aspect)))
+        bh = int(round(np.sqrt(area / aspect)))
+        if 1 <= bh <= h and 1 <= bw <= w:
+            top = int(rng.integers(0, h - bh + 1))
+            left = int(rng.integers(0, w - bw + 1))
+            ch, cw = bh, bw
+            break
+    crop = resize_reference(img[:, top:top + ch, left:left + cw], out_size, out_size)
+    if rng.random() < 0.5:
+        crop = crop[:, :, ::-1]
+    return crop

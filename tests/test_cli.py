@@ -219,6 +219,35 @@ def test_pretrain_rejects_non_positive_model_sizes(workspace, tmp_path, capsys, 
     assert not (tmp_path / "model.lttw").exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "lora-pretrain"])
+def test_training_without_a_step_exits_1(workspace, tmp_path, capsys, command):
+    source = ["--ckpt", str(workspace / "model.lttw")] if command == "lora-pretrain" else []
+    out = tmp_path / "out.lttw"
+    assert main([command, *source, "--data", str(workspace / "data"), "--epochs", "0",
+                 "--out", str(out)]) == 1
+    assert_one_error(capsys, "no training step")
+    assert not out.exists()
+
+
+def test_lora_pretrain_resizes_images_to_the_model(workspace, tmp_path, capsys):
+    # 48-px data on the 32-px workspace model
+    spec = {"num_classes": 4, "train_per_class": 4, "test_per_class": 1, "image_size": 48,
+            "shift_kinds": ["gaussian_noise"], "seed": 9}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["gen-data", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "data")]) == 0
+    (tmp_path / "lora.json").write_text(json.dumps({"rank": 2, "scale": 2.0}))
+    assert main(["lora-pretrain", "--ckpt", str(workspace / "model.lttw"),
+                 "--data", str(tmp_path / "data"), "--lora", str(tmp_path / "lora.json"),
+                 "--out", str(tmp_path / "adapters.lttw")]) == 0
+    assert "adapter pretraining: 1 steps" in capsys.readouterr().out
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"), "--data", str(tmp_path / "data"),
+                 "--mode", "lora-ttt", "--config", str(workspace / "ttt.json"),
+                 "--adapters", str(tmp_path / "adapters.lttw"),
+                 "--out", str(tmp_path / "run")]) == 0
+
+
 def test_run_rejects_table_of_other_class_order(workspace, tmp_path, capsys):
     manifest = json.loads((workspace / "data" / "manifest.json").read_text())
     assert main(["embed-text", "--ckpt", str(workspace / "model.lttw"),

@@ -1,9 +1,13 @@
+import shutil
+
 import numpy as np
 import pytest
 
+import ltt.pretrain
 from ltt.data import SyntheticShiftSpec, generate, load_split
 from ltt.encoder import ClipModel, TextFeatureTable, VitConfig
 from ltt.pretrain import embed_text, pretrain
+from ltt.serial import write_tensor
 from ltt.ttt import TttConfig, run_stream
 
 
@@ -38,11 +42,41 @@ def test_pretrain_smoke_and_save(mini_data, tmp_path):
     assert 0.0 <= acc <= 1.0
 
 
+def test_pretrain_crops_each_batch_in_one_call_before_its_forward(mini_data, monkeypatch):
+    # perfbench's pretrain workload opens a unit of work at this crop call
+    events = []
+    crop, encode = ltt.pretrain.random_resized_crop, ClipModel.encode_image_batch
+
+    def counted_crop(imgs, *args):
+        events.append(("crop", len(imgs)))
+        return crop(imgs, *args)
+
+    def counted_encode(self, images, *args, **kwargs):
+        events.append(("encode", len(images)))
+        return encode(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(ltt.pretrain, "random_resized_crop", counted_crop)
+    monkeypatch.setattr(ClipModel, "encode_image_batch", counted_encode)
+    vit = VitConfig(embed_dim=32, num_layers=2, num_heads=4, mlp_ratio=2.0, out_dim=32)
+    _, losses = pretrain(mini_data[0], vit, epochs=2, seed=4, batch_size=16)
+    assert len(losses) == 8
+    assert events == [("crop", 16), ("encode", 16)] * 8
+
+
 def test_pretrain_batch_larger_than_dataset(mini_data):
     data_dir, _ = mini_data
     with pytest.raises(ValueError, match="batch size"):
         pretrain(data_dir, VitConfig(embed_dim=32, num_layers=2, out_dim=32),
                  epochs=1, batch_size=10_000)
+
+
+def test_pretrain_rejects_training_images_of_two_sizes(mini_data, tmp_path):
+    data_dir, manifest = mini_data
+    shutil.copytree(data_dir, tmp_path / "data")
+    item = next(it for it in manifest.items if it["split"] == "train")
+    write_tensor(tmp_path / "data" / item["path"], np.zeros((3, 48, 48), dtype=np.float32))
+    with pytest.raises(ValueError, match="differ in size"):
+        pretrain(tmp_path / "data", VitConfig(embed_dim=32, num_layers=2, out_dim=32), epochs=1)
 
 
 def test_embed_text_deterministic(mini_data, tmp_path):

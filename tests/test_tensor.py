@@ -151,6 +151,90 @@ def test_linear_matches_matmul_of_transposed_weight_bitexact(bias):
 
 
 # ---------------------------------------------------------------------------
+# in-place kernels: bit-equal to the plain expressions, computed out of place
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
+def gelu_expr(x, g):
+    t_ = np.tanh(T.GELU_K0 * (x + T.GELU_K1 * (x * x * x)))
+    d_inner = T.GELU_K0 * (1.0 + 3.0 * T.GELU_K1 * (x * x))
+    dgdx = 0.5 * (1.0 + t_) + 0.5 * x * (1.0 - t_ * t_) * d_inner
+    return 0.5 * x * (1.0 + t_), [g * dgdx]
+
+
+def layer_norm_expr(x, gamma, beta, g):
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + T.LAYERNORM_EPS)
+    xhat = (x - mu) * inv
+    dxhat = g * gamma
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    lead = tuple(range(g.ndim - 1))
+    return xhat * gamma + beta, [dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+def softmax_expr(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, [p * (g - (g * p).sum(axis=-1, keepdims=True))]
+
+
+KERNELS = {"gelu": (T.gelu, gelu_expr, 0), "layer_norm": (T.layer_norm, layer_norm_expr, 2),
+           "softmax": (T.softmax, softmax_expr, 0)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernels_match_plain_expressions_bitexact(name, dtype):
+    op, expr, num_params = KERNELS[name]
+    rng = np.random.default_rng(21)
+    for shape, scale in [((64, 17, 64), 1.0), ((6, 4, 17, 17), 8.0), ((3, 8), 30.0)]:
+        params = [rng.normal(1, 0.5, shape[-1]), rng.normal(0, 0.5, shape[-1])][:num_params]
+        arrays = [a.astype(dtype) for a in [rng.normal(0, scale, shape), *params]]
+        g = rng.normal(size=shape).astype(dtype)
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape():
+            y = op(*leaves)
+            backward(T.tsum(T.mul(y, Tensor(g))))  # y.grad is g, bit for bit
+        want_y, want_grads = expr(*arrays, g)
+        assert same_bits(y.data, want_y)
+        for leaf, want in zip(leaves, want_grads):
+            assert same_bits(leaf.grad, want)
+
+
+def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
+    rng = np.random.default_rng(23)
+    shapes = {"x": (4, 17, 32), "w": (24, 32), "b": (24,), "gamma": (24,), "beta": (24,),
+              "c": (24,)}
+    values = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+
+    def run(frozen):
+        leaves = {k: Tensor(v.copy(), requires_grad=k not in frozen) for k, v in values.items()}
+        with Tape():
+            nodes = [T.linear(leaves["x"], leaves["w"], leaves["b"])]
+            nodes.append(T.layer_norm(nodes[-1], leaves["gamma"], leaves["beta"]))
+            nodes.append(T.mul(T.gelu(nodes[-1]), leaves["c"]))
+            nodes.append(T.add(nodes[-1], leaves["c"]))
+            nodes.append(T.mul(nodes[-1], 0.5))  # a scalar constant
+            backward(T.tsum(nodes[-1]))
+        for node in nodes:  # each closure skips exactly its untracked parents
+            grads = node._backward(np.ones_like(node.data))
+            assert [g is not None for g in grads] == [p._tracked() for p in node._parents]
+        return {k: leaf.grad for k, leaf in leaves.items()}
+
+    full = run(frozen=())
+    part = run(frozen=("b", "gamma", "beta", "c"))
+    for k in shapes:
+        assert part[k] is None if k in ("b", "gamma", "beta", "c") else same_bits(part[k], full[k])
+        assert full[k] is not None
+
+
+# ---------------------------------------------------------------------------
 # per-primitive gradient checks against central finite differences
 
 CASES = {
