@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoder import check_positive
 from .serial import read_tensor, write_tensor
 from .ttt import Instance
 
@@ -48,6 +49,7 @@ class SyntheticShiftSpec:
             raise ValueError(f"need K >= 2 classes, got {self.num_classes}")
         if self.num_classes > len(SHAPES) * len(COLORS):
             raise ValueError(f"at most {len(SHAPES) * len(COLORS)} classes supported")
+        check_positive(self, "train_per_class", "test_per_class", "image_size")
         self.shift_kinds = tuple(self.shift_kinds)
         for k in self.shift_kinds:
             if k not in SHIFT_KINDS:

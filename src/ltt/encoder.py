@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .optim import Parameter
 from .serial import read_checkpoint, read_text_table, write_checkpoint, write_text_table
 from .tensor import Tensor
 
@@ -24,7 +23,7 @@ LOGIT_SCALE_INIT = math.log(100.0)  # 1/tau starts at the clamp; softer inits
 LOGIT_SCALE_MAX = math.log(100.0)   # weaken the learned features at this scale
 
 
-def _check_positive(cfg, *names: str):
+def check_positive(cfg, *names: str):
     for name in names:
         if not getattr(cfg, name) > 0:  # also rejects NaN
             raise ValueError(f"{type(cfg).__name__}.{name} must be > 0, got {getattr(cfg, name)}")
@@ -41,8 +40,8 @@ class VitConfig:
     out_dim: int = 64
 
     def __post_init__(self):
-        _check_positive(self, "image_size", "patch_size", "embed_dim", "num_heads",
-                        "mlp_ratio", "out_dim")
+        check_positive(self, "image_size", "patch_size", "embed_dim", "num_heads",
+                       "mlp_ratio", "out_dim")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -71,7 +70,7 @@ class TextConfig:
     out_dim: int = 64
 
     def __post_init__(self):
-        _check_positive(self, "vocab_size", "context", "width", "num_heads", "out_dim")
+        check_positive(self, "vocab_size", "context", "width", "num_heads", "out_dim")
         if self.width % self.num_heads != 0:
             raise ValueError(f"width {self.width} not divisible by {self.num_heads} heads")
 
@@ -183,16 +182,15 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 class ClipModel:
-    """Frozen-by-default dual encoder. All weights live in a flat name->Parameter map."""
+    """Frozen-by-default dual encoder. All weights live in a flat name->Tensor map;
+    a weight trains exactly when its requires_grad is set."""
 
     def __init__(self, vit: VitConfig, txt: TextConfig, vocab: Vocab,
                  arrays: dict[str, np.ndarray]):
         self.vit = vit
         self.txt = txt
         self.vocab = vocab
-        self.params: dict[str, Parameter] = {
-            name: Parameter(name, Tensor(arr)) for name, arr in arrays.items()
-        }
+        self.params: dict[str, Tensor] = {name: Tensor(arr) for name, arr in arrays.items()}
 
     # -- construction / persistence -------------------------------------
 
@@ -254,35 +252,27 @@ class ClipModel:
 
     def set_normalization(self, mean: np.ndarray, std: np.ndarray):
         dt = self.dtype
-        self.params["norm.mean"].value.data = np.asarray(mean, dtype=dt)
-        self.params["norm.std"].value.data = np.asarray(std, dtype=dt)
-
-    def param_list(self) -> list[Parameter]:
-        return list(self.params.values())
-
-    def trainable_params(self) -> list[Parameter]:
-        return [p for p in self.params.values() if p.trainable]
+        self.params["norm.mean"].data = np.asarray(mean, dtype=dt)
+        self.params["norm.std"].data = np.asarray(std, dtype=dt)
 
     def clamp_logit_scale(self):
         s = self.params["logit_scale"]
-        s.value.data = np.minimum(s.data, np.asarray(LOGIT_SCALE_MAX, dtype=s.data.dtype))
+        s.data = np.minimum(s.data, np.asarray(LOGIT_SCALE_MAX, dtype=s.data.dtype))
 
     # -- forward ----------------------------------------------------------
-
-    def _p(self, name: str) -> Tensor:
-        return self.params[name].value
 
     def _block(self, x: Tensor, prefix: str, num_heads: int, adapters=None,
                layer: int = 0) -> Tensor:
         b, t, d = x.shape
         dh = d // num_heads
+        p = self.params
 
         def attn_proj(h: Tensor, tag: str) -> Tensor:
-            y = T.linear(h, self._p(f"{prefix}.attn.w{tag}"), self._p(f"{prefix}.attn.b{tag}"))
+            y = T.linear(h, p[f"{prefix}.attn.w{tag}"], p[f"{prefix}.attn.b{tag}"])
             ad = adapters.get((layer, tag)) if adapters else None
             return y if ad is None else T.add(y, ad.delta(h))
 
-        h = T.layer_norm(x, self._p(f"{prefix}.ln1.g"), self._p(f"{prefix}.ln1.b"))
+        h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q, k, v = (T.transpose(T.reshape(attn_proj(h, m), (b, t, num_heads, dh)), (0, 2, 1, 3))
                    for m in "qkv")
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
@@ -292,9 +282,9 @@ class ClipModel:
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
         x = T.add(x, attn_proj(ctx, "o"))
 
-        h = T.layer_norm(x, self._p(f"{prefix}.ln2.g"), self._p(f"{prefix}.ln2.b"))
-        h = T.gelu(T.linear(h, self._p(f"{prefix}.mlp.w1"), self._p(f"{prefix}.mlp.b1")))
-        return T.add(x, T.linear(h, self._p(f"{prefix}.mlp.w2"), self._p(f"{prefix}.mlp.b2")))
+        h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
+        h = T.gelu(T.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
+        return T.add(x, T.linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"]))
 
     def patchify(self, images: np.ndarray) -> np.ndarray:
         """(B,3,H,W) -> (B, P, 3*p*p), row-major patch order."""
@@ -321,10 +311,11 @@ class ClipModel:
             raise ValueError(f"expected images of shape (*,3,{s},{s}), got {imgs.shape}")
         b = imgs.shape[0]
         d = self.vit.embed_dim
-        x = T.linear(Tensor(self.patchify(imgs)), self._p("img.patch.w"), self._p("img.patch.b"))
-        cls = T.broadcast_to(T.reshape(self._p("img.cls"), (1, 1, d)), (b, 1, d))
+        p = self.params
+        x = T.linear(Tensor(self.patchify(imgs)), p["img.patch.w"], p["img.patch.b"])
+        cls = T.broadcast_to(T.reshape(p["img.cls"], (1, 1, d)), (b, 1, d))
         x = T.concat([cls, x], axis=1)
-        x = T.add(x, self._p("img.pos"))
+        x = T.add(x, p["img.pos"])
         if keep is not None:
             n = x.shape[1]
             keep = np.asarray(keep, dtype=np.int64)
@@ -334,8 +325,8 @@ class ClipModel:
             x = gather_rows(x, keep)
         for i in range(self.vit.num_layers):
             x = self._block(x, f"img.layers.{i}", self.vit.num_heads, adapters, i + 1)
-        x = T.layer_norm(x, self._p("img.ln_f.g"), self._p("img.ln_f.b"))
-        x = T.linear(x, self._p("img.proj"))
+        x = T.layer_norm(x, p["img.ln_f.g"], p["img.ln_f.b"])
+        x = T.linear(x, p["img.proj"])
         cls_out = T.reshape(T.slice_axis(x, 1, 0, 1), (b, self.vit.out_dim))
         tok_out = T.slice_axis(x, 1, 1, x.shape[1])
         return cls_out, tok_out
@@ -352,14 +343,15 @@ class ClipModel:
         if L > self.txt.context:
             raise ValueError(f"sequence length {L} exceeds context {self.txt.context}")
         b = len(sequences)
-        x = T.index_select(self._p("txt.tok"), ids, axis=0)
+        p = self.params
+        x = T.index_select(p["txt.tok"], ids, axis=0)
         x = T.reshape(x, (b, L, self.txt.width))
-        x = T.add(x, T.slice_axis(self._p("txt.pos"), 0, 0, L))
+        x = T.add(x, T.slice_axis(p["txt.pos"], 0, 0, L))
         for i in range(self.txt.num_layers):
             x = self._block(x, f"txt.layers.{i}", self.txt.num_heads)
-        x = T.layer_norm(x, self._p("txt.ln_f.g"), self._p("txt.ln_f.b"))
+        x = T.layer_norm(x, p["txt.ln_f.g"], p["txt.ln_f.b"])
         eos = T.reshape(T.slice_axis(x, 1, L - 1, L), (b, self.txt.width))
-        return T.linear(eos, self._p("txt.proj"))
+        return T.linear(eos, p["txt.proj"])
 
 
 # ---------------------------------------------------------------------------

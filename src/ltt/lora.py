@@ -14,7 +14,6 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import ClipModel
-from .optim import Parameter
 from .serial import read_checkpoint, write_checkpoint
 from .tensor import Tensor
 
@@ -43,6 +42,8 @@ class LoraConfig:
         for m in self.matrices:
             if m not in MATRIX_TAGS:
                 raise ValueError(f"unknown matrix tag {m!r} (expected one of {MATRIX_TAGS})")
+        if len(set(self.matrices)) != len(self.matrices):
+            raise ValueError(f"duplicate matrix tag in {list(self.matrices)}")
 
     def resolved_layers(self, num_layers: int) -> tuple:
         layers = self.layers or (num_layers - 1, num_layers)
@@ -55,31 +56,28 @@ class LoraConfig:
 class LoraAdapter:
     """One (A, B) pair attached in parallel to a frozen projection matrix."""
 
-    def __init__(self, base_name: str, d1: int, d2: int, rank: int, scale: float, dtype):
+    def __init__(self, d1: int, d2: int, rank: int, scale: float, dtype):
         self.scale = scale
         self.d2 = d2
-        self.a = Parameter(f"{base_name}.lora_a", Tensor(np.zeros((rank, d2), dtype=dtype)),
-                           trainable=True)
-        self.b = Parameter(f"{base_name}.lora_b", Tensor(np.zeros((d1, rank), dtype=dtype)),
-                           trainable=True)
+        self.a = Tensor(np.zeros((rank, d2), dtype=dtype), requires_grad=True)
+        self.b = Tensor(np.zeros((d1, rank), dtype=dtype), requires_grad=True)
 
     def init_weights(self, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(self.d2)
-        dt = self.a.data.dtype
-        self.a.value.data = rng.uniform(-bound, bound, size=self.a.data.shape).astype(dt)
-        self.b.value.data = np.zeros_like(self.b.data)
-
-    def load_state(self, a: np.ndarray, b: np.ndarray):
-        self.a.value.data = a.astype(self.a.data.dtype)
-        self.b.value.data = b.astype(self.b.data.dtype)
+        self.a.data = rng.uniform(-bound, bound, size=self.a.shape).astype(self.a.dtype)
+        self.b.data = np.zeros_like(self.b.data)
 
     def delta(self, x: Tensor) -> Tensor:
         # gamma * (x A^T) B^T, the parallel branch of the adapted projection
-        return T.mul(T.linear(T.linear(x, self.a.value), self.b.value), float(self.scale))
+        return T.mul(T.linear(T.linear(x, self.a), self.b), float(self.scale))
 
 
 class AdaptedEncoder:
-    """Frozen base model plus episode-local LoRA adapters."""
+    """Frozen base model plus episode-local LoRA adapters.
+
+    `trainables` names every A and B tensor in sorted (layer, tag) order,
+    A before B, which is the record order of a saved adapter checkpoint.
+    """
 
     def __init__(self, model: ClipModel, config: LoraConfig, rng: np.random.Generator):
         self.model = model
@@ -94,46 +92,42 @@ class AdaptedEncoder:
                 base = f"img.layers.{li - 1}.attn.w{m}"
                 if base not in model.params:
                     raise ValueError(f"no such base matrix {base!r}")
-                self.adapters[(li, m)] = LoraAdapter(base, d, d, config.rank,
-                                                     config.scale, model.dtype)
+                self.adapters[(li, m)] = LoraAdapter(d, d, config.rank, config.scale,
+                                                     model.dtype)
+        self.trainables: dict[str, Tensor] = {}
+        for li, m in sorted(self.adapters):
+            base = f"img.layers.{li - 1}.attn.w{m}"
+            self.trainables[f"{base}.lora_a"] = self.adapters[(li, m)].a
+            self.trainables[f"{base}.lora_b"] = self.adapters[(li, m)].b
         self.baseline: dict[str, np.ndarray] | None = None
         self.reset(rng)
 
     def encode_image_batch(self, images, keep=None):
         return self.model.encode_image_batch(images, self.adapters, keep)
 
-    def trainable_params(self) -> list[Parameter]:
-        out = []
-        for key in sorted(self.adapters):
-            ad = self.adapters[key]
-            out.extend([ad.a, ad.b])
-        return out
-
     def trainable_count(self) -> int:
-        return sum(p.data.size for p in self.trainable_params())
+        return sum(t.data.size for t in self.trainables.values())
 
-    def reset(self, rng: np.random.Generator):
+    def reset(self, rng: np.random.Generator | None):
         """Return to the pre-episode state: B=0 with a fresh A draw, or the
         loaded pre-initialized adapter weights when those were installed."""
-        if self.baseline is not None:
-            for key in sorted(self.adapters):
-                ad = self.adapters[key]
-                ad.load_state(self.baseline[ad.a.name], self.baseline[ad.b.name])
-        else:
+        if self.baseline is None:
             for key in sorted(self.adapters):
                 self.adapters[key].init_weights(rng)
-        for p in self.trainable_params():
-            p.zero_grad()
+        for name, t in self.trainables.items():
+            if self.baseline is not None:
+                t.data = self.baseline[name].copy()
+            t.grad = None
 
     def set_baseline_from_current(self):
-        self.baseline = {p.name: p.data.copy() for p in self.trainable_params()}
+        self.baseline = {name: t.data.copy() for name, t in self.trainables.items()}
 
     def _meta(self) -> np.ndarray:
         return np.asarray([self.config.rank, self.config.scale,
                            len(self.config.matrices), len(self.adapters)], dtype=np.float32)
 
     def save_adapters(self, path):
-        arrays = {p.name: p.data for p in self.trainable_params()}
+        arrays = {name: t.data for name, t in self.trainables.items()}
         arrays["meta.lora"] = self._meta()
         write_checkpoint(path, arrays)
 
@@ -146,15 +140,14 @@ class AdaptedEncoder:
             raise ValueError(f"adapter checkpoint {path} holds (rank, scale, matrices, adapters) "
                              f"{None if meta is None else meta.tolist()}, "
                              f"the run has {self._meta().tolist()}")
-        for p in self.trainable_params():
-            if p.name not in arrays:
-                raise ValueError(f"adapter checkpoint missing {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ValueError(f"adapter {p.name!r} has shape {arrays[p.name].shape}, "
-                                 f"expected {p.data.shape}")
-        for ad in self.adapters.values():
-            ad.load_state(arrays[ad.a.name], arrays[ad.b.name])
-        self.set_baseline_from_current()
+        for name, t in self.trainables.items():
+            if name not in arrays:
+                raise ValueError(f"adapter checkpoint missing {name!r}")
+            if arrays[name].shape != t.shape:
+                raise ValueError(f"adapter {name!r} has shape {arrays[name].shape}, "
+                                 f"expected {t.shape}")
+        self.baseline = {name: arrays[name].astype(t.dtype) for name, t in self.trainables.items()}
+        self.reset(None)
 
 
 def attach(model: ClipModel, config: LoraConfig,

@@ -70,14 +70,13 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     pair_caption = np.array([cap_index[c] for _, c in pairs])
     raw_images = [np.asarray(img, dtype=np.float32) for img, _ in pairs]
 
-    skip_decay = ("norm.mean", "norm.std")
-    for name, p in model.params.items():
-        if name not in skip_decay:
-            p.set_trainable(True)
-    decay = [p for p in model.trainable_params() if p.data.ndim >= 2]
-    no_decay = [p for p in model.trainable_params() if p.data.ndim < 2]
-    opt_w = AdamW(lr=PRETRAIN_LR, wd=PRETRAIN_WD)
-    opt_b = AdamW(lr=PRETRAIN_LR, wd=0.0)
+    trainables = {name: t for name, t in model.params.items()
+                  if name not in ("norm.mean", "norm.std")}
+    for t in trainables.values():
+        t.requires_grad = True
+    opt_w = AdamW({name: t for name, t in trainables.items() if t.ndim >= 2},
+                  PRETRAIN_LR, PRETRAIN_WD)
+    opt_b = AdamW({name: t for name, t in trainables.items() if t.ndim < 2}, PRETRAIN_LR, 0.0)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7261]))
     n = len(pairs)
@@ -95,24 +94,24 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
             lr = PRETRAIN_LR * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
             opt_w.lr = lr
             opt_b.lr = lr
-            for p in model.trainable_params():
-                p.zero_grad()
+            opt_w.zero_grad()
+            opt_b.zero_grad()
             with Tape():
                 cls, _ = model.encode_image_batch(batch_imgs)
                 img_emb = T.l2_normalize(cls, axis=-1)
                 txt_all = _encode_captions(model, caption_ids)
                 txt_emb = T.index_select(txt_all, pair_caption[idx], axis=0)
-                scale = T.exp(model.params["logit_scale"].value)
+                scale = T.exp(model.params["logit_scale"])
                 loss = contrastive_loss(img_emb, txt_emb, scale)
                 backward(loss)
-            opt_w.step(decay)
-            opt_b.step(no_decay)
+            opt_w.step()
+            opt_b.step()
             model.clamp_logit_scale()
             losses.append(float(loss.data))
             step += 1
 
-    for p in model.param_list():
-        p.set_trainable(False)
+    for t in trainables.values():
+        t.requires_grad = False
     return model, losses
 
 

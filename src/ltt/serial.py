@@ -160,10 +160,11 @@ def read_text_table(path) -> tuple[list[str], np.ndarray]:
 def config_from_json(cls, obj):
     """Build the config dataclass `cls` from a parsed JSON object.
 
-    A missing key takes the dataclass default. An unknown key, or a value
-    whose JSON type differs from its field's default, raises ValueError; an
-    int is accepted for a float and a list for a tuple. A field whose
-    default is itself a config dataclass is built from a nested object.
+    A missing key takes the dataclass default. An unknown key, a value
+    whose JSON type differs from its field's default, or a NaN or infinite
+    float (Python's json reads NaN and Infinity) raises ValueError; an int
+    is accepted for a float and a list for a tuple. A field whose default
+    is itself a config dataclass is built from a nested object.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
@@ -183,5 +184,7 @@ def config_from_json(cls, obj):
         elif type(value) is not type(default):  # bool is not taken for int
             raise ValueError(f"{cls.__name__}.{name} must be {type(default).__name__}, "
                              f"got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{cls.__name__}.{name} must be finite, got {value}")
         kwargs[name] = value
     return cls(**kwargs)

@@ -21,7 +21,7 @@ from . import tensor as T
 from .encoder import (ClipModel, TextFeatureTable, classify_batch, contrastive_loss,
                       gather_rows)
 from .lora import AdaptedEncoder, LoraConfig, attach
-from .optim import AdamW, Parameter
+from .optim import AdamW
 from .tensor import Tape, Tensor, backward, no_grad
 from .views import make_views, normalize, resize_bilinear, sample_mask
 
@@ -198,32 +198,28 @@ class FullTuneEncoder:
     def __init__(self, model: ClipModel):
         self.model = model
         n = model.vit.num_layers
-        self.names = [f"img.layers.{i}.attn.{t}"
-                      for i in (n - 2, n - 1)
-                      for t in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        self.snapshot = {name: model.params[name].data.copy() for name in self.names}
-        for name in self.names:
-            model.params[name].set_trainable(True)
+        names = [f"img.layers.{i}.attn.{t}" for i in (n - 2, n - 1)
+                 for t in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+        self.trainables = {name: model.params[name] for name in names}
+        self.snapshot = {name: t.data.copy() for name, t in self.trainables.items()}
+        for t in self.trainables.values():
+            t.requires_grad = True
 
     def encode_image_batch(self, images, keep=None):
         return self.model.encode_image_batch(images, keep=keep)
 
-    def trainable_params(self) -> list[Parameter]:
-        return [self.model.params[name] for name in self.names]
-
     def trainable_count(self) -> int:
-        return sum(p.data.size for p in self.trainable_params())
+        return sum(t.data.size for t in self.trainables.values())
 
     def reset(self, rng=None):
-        for name in self.names:
-            p = self.model.params[name]
-            p.value.data = self.snapshot[name].copy()
-            p.zero_grad()
+        for name, t in self.trainables.items():
+            t.data = self.snapshot[name].copy()
+            t.grad = None
 
     def finish(self):
         self.reset()
-        for name in self.names:
-            self.model.params[name].set_trainable(False)
+        for t in self.trainables.values():
+            t.requires_grad = False
 
 
 def build_encoder_for_mode(model: ClipModel, cfg: TttConfig):
@@ -266,8 +262,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     encoder.reset(rng)  # per-episode seeding: adapter state from this instance's stream
     views = make_views(instance.image, cfg.num_views, rng, model.norm_mean,
                        model.norm_std, size)
-    opt = AdamW(lr=cfg.lr, wd=cfg.wd)
-    trainables = encoder.trainable_params()
+    opt = AdamW(encoder.trainables, cfg.lr, cfg.wd)
 
     peak_nodes = 0
     stats: dict = {}
@@ -279,8 +274,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     # entropy loss sharpens would be pulled toward their masked copies.
     combined = cfg.mode != "lora_ttt_a"
     for _ in range(cfg.steps):
-        for p in trainables:
-            p.zero_grad()
+        opt.zero_grad()
         with Tape() as tape:
             with nullcontext() if combined else no_grad():
                 cls_all, tok_all = encoder.encode_image_batch(views)
@@ -308,7 +302,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
         peak_nodes = max(peak_nodes, tape.num_nodes)
         step_losses.append([None if l_mem is None else float(l_mem.data),
                             None if l_mae is None else float(l_mae.data), float(loss.data)])
-        opt.step(trainables)
+        opt.step()
 
     probs = _classify_view0(encoder, views[0], table, tau)
     result = EpisodeResult(
@@ -431,7 +425,7 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
     images = np.stack([normalize(resize_bilinear(img, size, size), model.norm_mean,
                                  model.norm_std) for img, _ in pairs])
     text_rows = np.stack([caption_feats[c] for _, c in pairs])
-    opt = AdamW(lr=lr, wd=wd)
+    opt = AdamW(encoder.trainables, lr, wd)
     losses: list[float] = []
     n = len(pairs)
     for _ in range(epochs):
@@ -440,14 +434,13 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
             idx = order[start:start + batch_size]
             if idx.size < 2:
                 continue
-            for p in encoder.trainable_params():
-                p.zero_grad()
+            opt.zero_grad()
             with Tape():
                 cls, _ = encoder.encode_image_batch(images[idx])
                 img_emb = T.l2_normalize(cls, axis=-1)
                 loss = contrastive_loss(img_emb, Tensor(text_rows[idx]), scale)
                 backward(loss)
-            opt.step(encoder.trainable_params())
+            opt.step()
             losses.append(float(loss.data))
     encoder.set_baseline_from_current()
     return encoder, losses

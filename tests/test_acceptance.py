@@ -19,7 +19,7 @@ from ltt.encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig, Voc
                          classify_batch, build_text_table)
 from ltt.lora import LoraConfig, attach, base_weight_hash, trainable_parameter_count
 from ltt.metrics import ece
-from ltt.optim import AdamW, Parameter
+from ltt.optim import AdamW
 from ltt.pretrain import pretrain
 from ltt.tensor import Tensor, no_grad
 from ltt.ttt import (TttConfig, build_encoder_for_mode, entropy_np, episode_rng,
@@ -114,10 +114,10 @@ def test_criterion_1_gradient_integrity():
         adapted = attach(model, LoraConfig(rank=2, scale=2.0), rng)
         # nonzero A and B so gradients flow to both matrices
         for ad in adapted.adapters.values():
-            ad.a.value.data = rng.normal(0, 0.1, ad.a.data.shape)
-            ad.b.value.data = rng.normal(0, 0.1, ad.b.data.shape)
+            ad.a.data = rng.normal(0, 0.1, ad.a.data.shape)
+            ad.b.data = rng.normal(0, 0.1, ad.b.data.shape)
         views = rng.normal(0, 1, size=(4, 3, 32, 32))
-        leaves = [p.value for p in adapted.trainable_params()]
+        leaves = list(adapted.trainables.values())
         mask_seed = int(rng.integers(0, 2**31))
 
         def loss_mem():
@@ -241,11 +241,11 @@ def test_criterion_5_oracle_equivalences():
     for _ in range(20):
         w0 = float(rng.normal())
         grads = rng.normal(size=10)
-        p = Parameter("w", Tensor(np.asarray(w0)), trainable=True)
-        opt = AdamW(lr=0.004, wd=0.3)
+        p = Tensor(np.asarray(w0), requires_grad=True)
+        opt = AdamW({"w": p}, lr=0.004, wd=0.3)
         for g in grads:
-            p.value.grad = np.asarray(g)
-            opt.step([p])
+            p.grad = np.asarray(g)
+            opt.step()
         worst_adamw = max(worst_adamw,
                           abs(float(p.data) - adamw_reference(w0, grads, 0.004, 0.3)))
 

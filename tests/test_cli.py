@@ -134,7 +134,10 @@ def test_exit_codes(workspace, tmp_path):
 @pytest.mark.parametrize("bad", [{"num_views": 0}, {"mask_ratio": 1.5}, {"lr": -1},
                                  {"num_view": 8}, {"lora": {"rnk": 4}},
                                  {"num_views": "8"}, {"detach_target": True},
-                                 {"lora": {"layers": ["a"]}}, {"lora": {"layers": [True]}}])
+                                 {"lora": {"layers": ["a"]}}, {"lora": {"layers": [True]}},
+                                 {"lam_mem": float("nan")}, {"lora": {"scale": float("nan")}},
+                                 {"lr": float("inf")},
+                                 {"lora": {"matrices": ["q", "q"], "rank": 2}}])
 def test_run_rejects_bad_ttt_config(workspace, tmp_path, capsys, bad):
     (tmp_path / "ttt.json").write_text(json.dumps(bad))
     out = tmp_path / "run"
@@ -209,13 +212,14 @@ def test_run_rejects_short_model_meta(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [{"patch_size": 0}, {"num_heads": 0}, {"embed_dim": -32},
-                                 {"mlp_ratio": 0.0}])
+                                 {"mlp_ratio": 0.0}, {"mlp_ratio": float("inf")}])
 def test_pretrain_rejects_non_positive_model_sizes(workspace, tmp_path, capsys, bad):
     (tmp_path / "model.json").write_text(json.dumps(bad))
     assert main(["pretrain", "--data", str(workspace / "data"),
                  "--config", str(tmp_path / "model.json"),
                  "--out", str(tmp_path / "model.lttw")]) == 1
-    assert_one_error(capsys, f"{next(iter(bad))} must be > 0")
+    key, value = next(iter(bad.items()))
+    assert_one_error(capsys, f"{key} must be {'finite' if value == float('inf') else '> 0'}")
     assert not (tmp_path / "model.lttw").exists()
 
 

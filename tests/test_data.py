@@ -134,6 +134,9 @@ def test_spec_validation():
         SyntheticShiftSpec(shift_kinds=("fog",))
     with pytest.raises(ValueError, match="severity"):
         SyntheticShiftSpec(severity=9)
+    for field, value in (("train_per_class", 0), ("test_per_class", -1), ("image_size", 0)):
+        with pytest.raises(ValueError, match=f"{field} must be > 0, got {value}"):
+            config_from_json(SyntheticShiftSpec, {field: value})
     spec = config_from_json(SyntheticShiftSpec, {"num_classes": 4, "severity": 2,
                                                  "shift_kinds": ["blur"]})
     assert spec.shift_kinds == ("blur",)

@@ -76,7 +76,7 @@ def test_batched_keep_rows_match_single_masked_views(tiny_model):
     rng = np.random.default_rng(5)
     adapted = attach(tiny_model, LoraConfig(rank=2), rng)
     for ad in adapted.adapters.values():
-        ad.b.value.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
+        ad.b.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
     imgs = np.stack([rand_image(rng) for _ in range(4)])
     masks = [sample_mask(16, 0.5, rng) for _ in range(4)]
     keep = keep_rows(16, masks)

@@ -32,7 +32,7 @@ def test_zero_scale_annihilates_trained_adapters(tiny_model):
                      np.random.default_rng(11))
     rng = np.random.default_rng(12)
     for ad in adapted.adapters.values():
-        ad.b.value.data = rng.normal(size=ad.b.data.shape).astype(np.float32)
+        ad.b.data = rng.normal(size=ad.b.data.shape).astype(np.float32)
     img = rand_image(rng)
     base_cls, _ = tiny_model.encode_image_batch(img[None])
     ad_cls, _ = adapted.encode_image_batch(img[None])
@@ -42,8 +42,9 @@ def test_zero_scale_annihilates_trained_adapters(tiny_model):
 def test_adapter_forward_hand_example():
     # d=2, r=1, W0=I, x=[1,0], A=[1,0], B=[1;1], scale 2 -> h = [3, 2]
     from ltt.lora import LoraAdapter
-    ad = LoraAdapter("w", d1=2, d2=2, rank=1, scale=2.0, dtype=np.float64)
-    ad.load_state(np.array([[1.0, 0.0]]), np.array([[1.0], [1.0]]))
+    ad = LoraAdapter(d1=2, d2=2, rank=1, scale=2.0, dtype=np.float64)
+    ad.a.data = np.array([[1.0, 0.0]])
+    ad.b.data = np.array([[1.0], [1.0]])
     x = Tensor(np.array([[1.0, 0.0]]))
     w0 = Tensor(np.eye(2))
     h = T.add(T.matmul(x, T.transpose(w0, (1, 0))), ad.delta(x))
@@ -57,7 +58,7 @@ def test_reset_restores_base_behaviour(tiny_model):
     before, _ = adapted.encode_image_batch(img[None])
     # simulate an episode update
     for ad in adapted.adapters.values():
-        ad.b.value.data = rng.normal(0, 0.05, size=ad.b.data.shape).astype(np.float32)
+        ad.b.data = rng.normal(0, 0.05, size=ad.b.data.shape).astype(np.float32)
     during, _ = adapted.encode_image_batch(img[None])
     assert not np.array_equal(before.data, during.data)
     adapted.reset(np.random.default_rng(99))
@@ -81,14 +82,13 @@ def test_gradient_reaches_b_after_one_step(tiny_model):
     adapted = attach(tiny_model, LoraConfig(rank=2, scale=2.0),
                      np.random.default_rng(16))
     img = rand_image(np.random.default_rng(17))
-    params = adapted.trainable_params()
-    for p in params:
-        p.zero_grad()
+    opt = AdamW(adapted.trainables, lr=0.01)
+    opt.zero_grad()
     with Tape():
         cls, _ = adapted.encode_image_batch(img[None])
         loss = T.mse(cls, Tensor(np.zeros_like(cls.data)))
         backward(loss)
-    AdamW(lr=0.01).step(params)
+    opt.step()
     b_entries = [ad.b.data for ad in adapted.adapters.values()]
     assert any(np.any(b != 0) for b in b_entries)
 
@@ -120,6 +120,8 @@ def test_config_validation(tiny_model):
         LoraConfig(rank=0)
     with pytest.raises(ValueError, match="matrix tag"):
         LoraConfig(matrices=("z",))
+    with pytest.raises(ValueError, match="duplicate matrix tag"):
+        config_from_json(LoraConfig, {"matrices": ["q", "q"], "rank": 2})
     with pytest.raises(ValueError, match="layer index"):
         attach(tiny_model, LoraConfig(layers=(7,)), np.random.default_rng(0))
     with pytest.raises(ValueError, match="exceeds"):
@@ -152,7 +154,7 @@ def test_adapter_checkpoint_round_trip(tiny_model, tmp_path):
     adapted = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(21))
     rng = np.random.default_rng(22)
     for ad in adapted.adapters.values():
-        ad.b.value.data = rng.normal(0, 0.1, size=ad.b.data.shape).astype(np.float32)
+        ad.b.data = rng.normal(0, 0.1, size=ad.b.data.shape).astype(np.float32)
     adapted.set_baseline_from_current()
     path = tmp_path / "adapters.lttw"
     adapted.save_adapters(path)
@@ -185,8 +187,8 @@ def test_adapter_checkpoint_checked_before_loading(tiny_model, tmp_path, edit):
         del arrays["meta.lora"]
     write_checkpoint(path, arrays)
     fresh = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
-    before = [p.data.copy() for p in fresh.trainable_params()]
+    before = [t.data.copy() for t in fresh.trainables.values()]
     with pytest.raises(ValueError, match="lora_b" if edit == "b_shape" else "rank"):
         fresh.load_adapters(path)
-    assert all(np.array_equal(p.data, q) for p, q in zip(fresh.trainable_params(), before))
+    assert all(np.array_equal(t.data, q) for t, q in zip(fresh.trainables.values(), before))
     assert fresh.baseline is None

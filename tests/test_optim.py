@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from ltt.optim import AdamW, Parameter
+from ltt.optim import AdamW
 from ltt.tensor import Tensor
 
 
-def make_param(value, name="w"):
-    p = Parameter(name, Tensor(np.asarray(value, dtype=np.float64)), trainable=True)
-    return p
+def make_param(value):
+    return Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
 
 
 def adamw_reference(w, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -25,10 +24,10 @@ def adamw_reference(w, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_single_step_hand_value():
     p = make_param(1.0)
-    p.value.grad = np.asarray(1.0)
-    opt = AdamW(lr=0.001, wd=0.2)
+    p.grad = np.asarray(1.0)
+    opt = AdamW({"w": p}, lr=0.001, wd=0.2)
     assert opt.t == 0
-    opt.step([p])
+    opt.step()
     assert opt.t == 1
     # m_hat = v_hat = 1 after bias correction, so w ~ 1 - lr - lr*wd
     assert p.data == pytest.approx(0.998800, abs=1e-6)
@@ -37,17 +36,17 @@ def test_single_step_hand_value():
 
 def test_zero_grad_zero_decay_is_identity():
     p = make_param(3.5)
-    p.value.grad = np.asarray(0.0)
-    opt = AdamW(lr=0.01, wd=0.0)
-    opt.step([p])
+    p.grad = np.asarray(0.0)
+    opt = AdamW({"w": p}, lr=0.01, wd=0.0)
+    opt.step()
     assert p.data == pytest.approx(3.5, abs=0.0)
 
 
 def test_pure_decoupled_decay():
     p = make_param(2.0)
-    p.value.grad = np.asarray(0.0)
-    opt = AdamW(lr=0.001, wd=0.2)
-    opt.step([p])
+    p.grad = np.asarray(0.0)
+    opt = AdamW({"w": p}, lr=0.001, wd=0.2)
+    opt.step()
     assert p.data == pytest.approx(2.0 * (1 - 0.0002), abs=1e-15)
 
 
@@ -55,10 +54,10 @@ def test_matches_reference_over_random_sequence():
     rng = np.random.default_rng(11)
     grads = rng.normal(size=20)
     p = make_param(0.7)
-    opt = AdamW(lr=0.01, wd=0.05)
+    opt = AdamW({"w": p}, lr=0.01, wd=0.05)
     for g in grads:
-        p.value.grad = np.asarray(g)
-        opt.step([p])
+        p.grad = np.asarray(g)
+        opt.step()
     ref = adamw_reference(0.7, grads, 0.01, 0.05)
     assert abs(float(p.data) - ref) < 1e-12
 
@@ -67,11 +66,11 @@ def test_elementwise_matches_reference():
     rng = np.random.default_rng(12)
     w0 = rng.normal(size=(3, 4))
     seq = [rng.normal(size=(3, 4)) for _ in range(5)]
-    p = Parameter("m", Tensor(w0.copy()), trainable=True)
-    opt = AdamW(lr=0.002, wd=0.1)
+    p = make_param(w0.copy())
+    opt = AdamW({"m": p}, lr=0.002, wd=0.1)
     for g in seq:
-        p.value.grad = g
-        opt.step([p])
+        p.grad = g
+        opt.step()
     for i in range(3):
         for j in range(4):
             ref = adamw_reference(w0[i, j], [g[i, j] for g in seq], 0.002, 0.1)
@@ -79,15 +78,42 @@ def test_elementwise_matches_reference():
 
 
 def test_missing_gradient_raises():
-    p = make_param(1.0)
-    opt = AdamW()
-    with pytest.raises(ValueError, match="no gradient"):
-        opt.step([p])
+    opt = AdamW({"w": make_param(1.0)})
+    with pytest.raises(ValueError, match="'w' has no gradient"):
+        opt.step()
+    assert opt.t == 0
 
 
 def test_non_trainable_params_untouched():
-    frozen = Parameter("frozen", Tensor(np.asarray(5.0)), trainable=False)
+    frozen = Tensor(np.asarray(5.0))
     live = make_param(1.0)
-    live.value.grad = np.asarray(1.0)
-    AdamW(lr=0.1).step([frozen, live])
+    live.grad = np.asarray(1.0)
+    opt = AdamW({"frozen": frozen, "live": live}, lr=0.1)
+    opt.step()
     assert float(frozen.data) == 5.0
+    assert "frozen" not in opt.m and "frozen" not in opt.v
+    assert float(live.data) != 1.0
+
+
+def test_zero_grad_clears_every_owned_gradient_only():
+    a, b, other = make_param(1.0), make_param([2.0, 3.0]), make_param(4.0)
+    for t in (a, b, other):
+        t.grad = np.ones_like(t.data)
+    opt = AdamW({"a": a, "b": b})
+    opt.zero_grad()
+    assert a.grad is None and b.grad is None
+    assert other.grad is not None
+    # a cleared gradient makes the next step refuse to run
+    with pytest.raises(ValueError, match="no gradient"):
+        opt.step()
+
+
+def test_moments_start_at_zero_and_persist_across_steps():
+    p = make_param(np.zeros((2, 3)))
+    opt = AdamW({"w": p}, lr=0.01)
+    p.grad = np.ones((2, 3))
+    opt.step()
+    m = opt.m["w"]
+    assert m.shape == (2, 3) and np.array_equal(m, np.full((2, 3), 1.0 - 0.9))
+    opt.step()
+    assert opt.m["w"] is m and opt.t == 2

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,11 +138,16 @@ def test_config_from_json_converts_json_types():
     ({"num_views": 8.0}, "num_views must be int, got float"),
     ({"num_views": True}, "num_views must be int, got bool"),
     ({"lora": [4]}, "LoraConfig must be a JSON object"),
+    ('{"lam_mem": NaN}', r"TttConfig.lam_mem must be finite, got nan"),
+    ('{"lora": {"scale": NaN}}', r"LoraConfig.scale must be finite, got nan"),
+    ('{"lr": Infinity}', r"TttConfig.lr must be finite, got inf"),
+    ('{"wd": -Infinity}', r"TttConfig.wd must be finite, got -inf"),
 ], ids=["unknown-key", "unknown-nested-key", "str-for-int", "float-for-int", "bool-for-int",
-        "nested-not-object"])
+        "nested-not-object", "nan", "nested-nan", "infinity", "minus-infinity"])
 def test_config_from_json_rejects_bad_keys_and_types(bad, msg):
+    # the non-finite cases are JSON text, parsed the way the CLI parses a file
     with pytest.raises(ValueError, match=msg):
-        config_from_json(TttConfig, bad)
+        config_from_json(TttConfig, json.loads(bad) if isinstance(bad, str) else bad)
 
 
 # ---------------------------------------------------------------------------

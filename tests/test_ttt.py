@@ -156,7 +156,7 @@ def nonzero_adapters(model):
     adapted = attach(model, LoraConfig(rank=2), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     for ad in adapted.adapters.values():
-        ad.b.value.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
+        ad.b.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
     return adapted
 
 
@@ -275,15 +275,15 @@ def test_episode_b_becomes_nonzero_during_step(setup):
     from ltt.views import make_views
     views = make_views(items[2].image, cfg.num_views, rng, model.norm_mean,
                        model.norm_std, 32)
-    for p in encoder.trainable_params():
-        p.zero_grad()
+    opt = AdamW(encoder.trainables, cfg.lr, cfg.wd)
+    opt.zero_grad()
     with Tape():
         cls_all, _ = encoder.encode_image_batch(views)
         probs_t = classify_batch(cls_all, table, model.tau)
         sel = select_confident(probs_t.data, cfg.cutoff)
         loss = mem_loss(T.index_select(probs_t, sel, axis=0))
         backward(loss)
-    AdamW(lr=cfg.lr, wd=cfg.wd).step(encoder.trainable_params())
+    opt.step()
     assert any(np.any(ad.b.data != 0) for ad in encoder.adapters.values())
 
 
@@ -431,6 +431,13 @@ def test_stream_counts_reset_events(setup):
     report = run_stream(items, model, table, small_cfg())
     assert report.reset_events == 10
     assert len(report.episodes) == 10
+
+
+def test_full_tune_stream_leaves_every_weight_frozen(setup):
+    model, table, items = setup
+    run_stream(items[:2], model, table, small_cfg(mode="full_tune"))
+    assert [name for name, t in model.params.items()
+            if t.requires_grad or t.grad is not None] == []
 
 
 def test_stream_rejects_empty_split(setup):
