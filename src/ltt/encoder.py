@@ -42,6 +42,9 @@ class VitConfig:
     def __post_init__(self):
         check_positive(self, "image_size", "patch_size", "embed_dim", "num_heads",
                        "mlp_ratio", "out_dim")
+        if not math.isfinite(self.embed_dim * self.mlp_ratio):
+            raise ValueError(f"VitConfig.mlp_ratio must be finite, and so must the MLP width "
+                             f"embed_dim * mlp_ratio = {self.embed_dim} * {self.mlp_ratio}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -268,9 +271,9 @@ class ClipModel:
         p = self.params
 
         def attn_proj(h: Tensor, tag: str) -> Tensor:
-            y = T.linear(h, p[f"{prefix}.attn.w{tag}"], p[f"{prefix}.attn.b{tag}"])
+            w, bias = p[f"{prefix}.attn.w{tag}"], p[f"{prefix}.attn.b{tag}"]
             ad = adapters.get((layer, tag)) if adapters else None
-            return y if ad is None else T.add(y, ad.delta(h))
+            return T.linear(h, w if ad is None else T.add(w, ad.delta()), bias)
 
         h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q, k, v = (T.transpose(T.reshape(attn_proj(h, m), (b, t, num_heads, dh)), (0, 2, 1, 3))
@@ -299,7 +302,7 @@ class ClipModel:
         """Forward of a batch. Returns (cls B x D_e, tokens B x (K-1) x D_e).
 
         adapters, when given, maps (1-based layer, matrix tag) to the LoRA
-        adapter whose delta is added to that attention projection.
+        adapter whose weight delta is added to that attention projection.
 
         keep, when given, is a (B, K) int array of the tokens each row keeps:
         0 is the class token and 1 + j is patch j. Positions are added before

@@ -1,8 +1,8 @@
 """Low-rank adapters on the image encoder's attention projections.
 
-Adapted forward: h = W0 x + gamma * B (A x), with A ~ Kaiming-uniform
-(bound 1/sqrt(d2)) and B = 0 at init, so a fresh adapter is an exact
-identity on the model output. The base weights are never written.
+Adapted forward: h = (W0 + gamma * B A) x, the delta merged in weight space,
+with A ~ Kaiming-uniform (bound 1/sqrt(d2)) and B = 0 at init, so W0 + 0 is
+W0 bit for bit and a fresh adapter is an exact identity. W0 is never written.
 """
 
 from __future__ import annotations
@@ -58,18 +58,17 @@ class LoraAdapter:
 
     def __init__(self, d1: int, d2: int, rank: int, scale: float, dtype):
         self.scale = scale
-        self.d2 = d2
         self.a = Tensor(np.zeros((rank, d2), dtype=dtype), requires_grad=True)
         self.b = Tensor(np.zeros((d1, rank), dtype=dtype), requires_grad=True)
 
     def init_weights(self, rng: np.random.Generator):
-        bound = 1.0 / np.sqrt(self.d2)
+        bound = 1.0 / np.sqrt(self.a.shape[1])
         self.a.data = rng.uniform(-bound, bound, size=self.a.shape).astype(self.a.dtype)
         self.b.data = np.zeros_like(self.b.data)
 
-    def delta(self, x: Tensor) -> Tensor:
-        # gamma * (x A^T) B^T, the parallel branch of the adapted projection
-        return T.mul(T.linear(T.linear(x, self.a), self.b), float(self.scale))
+    def delta(self) -> Tensor:
+        # gamma * B A, the (d1, d2) weight delta of the adapted projection
+        return T.mul(T.matmul(self.b, self.a), float(self.scale))
 
 
 class AdaptedEncoder:
@@ -87,18 +86,15 @@ class AdaptedEncoder:
             raise ValueError(f"rank {config.rank} exceeds min(d1,d2)/2 = {d // 2}")
         layers = config.resolved_layers(model.vit.num_layers)
         self.adapters: dict[tuple, LoraAdapter] = {}
-        for li in layers:
-            for m in config.matrices:
+        self.trainables: dict[str, Tensor] = {}
+        for li in layers:  # sorted, so both maps are in (layer, tag) order
+            for m in sorted(config.matrices):
                 base = f"img.layers.{li - 1}.attn.w{m}"
                 if base not in model.params:
                     raise ValueError(f"no such base matrix {base!r}")
-                self.adapters[(li, m)] = LoraAdapter(d, d, config.rank, config.scale,
-                                                     model.dtype)
-        self.trainables: dict[str, Tensor] = {}
-        for li, m in sorted(self.adapters):
-            base = f"img.layers.{li - 1}.attn.w{m}"
-            self.trainables[f"{base}.lora_a"] = self.adapters[(li, m)].a
-            self.trainables[f"{base}.lora_b"] = self.adapters[(li, m)].b
+                ad = self.adapters[(li, m)] = LoraAdapter(d, d, config.rank, config.scale,
+                                                          model.dtype)
+                self.trainables[f"{base}.lora_a"], self.trainables[f"{base}.lora_b"] = ad.a, ad.b
         self.baseline: dict[str, np.ndarray] | None = None
         self.reset(rng)
 
@@ -112,8 +108,8 @@ class AdaptedEncoder:
         """Return to the pre-episode state: B=0 with a fresh A draw, or the
         loaded pre-initialized adapter weights when those were installed."""
         if self.baseline is None:
-            for key in sorted(self.adapters):
-                self.adapters[key].init_weights(rng)
+            for ad in self.adapters.values():
+                ad.init_weights(rng)
         for name, t in self.trainables.items():
             if self.baseline is not None:
                 t.data = self.baseline[name].copy()
@@ -150,10 +146,7 @@ class AdaptedEncoder:
         self.reset(None)
 
 
-def attach(model: ClipModel, config: LoraConfig,
-           rng: np.random.Generator | None = None) -> AdaptedEncoder:
-    if rng is None:
-        rng = np.random.default_rng(0)
+def attach(model: ClipModel, config: LoraConfig, rng: np.random.Generator) -> AdaptedEncoder:
     return AdaptedEncoder(model, config, rng)
 
 

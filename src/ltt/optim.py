@@ -19,6 +19,9 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001, wd: float = 0.0):
+        for name, value in (("lr", lr), ("wd", wd)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"AdamW {name} must be finite and >= 0, got {value}")
         self.params = params
         self.lr = lr
         self.wd = wd

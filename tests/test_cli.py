@@ -184,6 +184,15 @@ def assert_one_error(capsys, needle):
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize("lr", ["nan", "-1"])
+def test_lora_pretrain_rejects_bad_lr(workspace, tmp_path, capsys, lr):
+    out = tmp_path / "adapters.lttw"
+    assert main(["lora-pretrain", "--ckpt", str(workspace / "model.lttw"),
+                 "--data", str(workspace / "data"), "--lr", lr, "--out", str(out)]) == 1
+    assert_one_error(capsys, "lr must be finite and >= 0")
+    assert not out.exists()
+
+
 def test_run_rejects_adapters_of_another_config(workspace, tmp_path, capsys):
     (tmp_path / "lora.json").write_text(json.dumps({"scale": 2.0, "rank": 2}))
     assert main(["lora-pretrain", "--ckpt", str(workspace / "model.lttw"),
@@ -212,14 +221,24 @@ def test_run_rejects_short_model_meta(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [{"patch_size": 0}, {"num_heads": 0}, {"embed_dim": -32},
-                                 {"mlp_ratio": 0.0}, {"mlp_ratio": float("inf")}])
+                                 {"mlp_ratio": 0.0}, {"mlp_ratio": float("inf")},
+                                 {"mlp_ratio": 1e308}])
 def test_pretrain_rejects_non_positive_model_sizes(workspace, tmp_path, capsys, bad):
     (tmp_path / "model.json").write_text(json.dumps(bad))
     assert main(["pretrain", "--data", str(workspace / "data"),
                  "--config", str(tmp_path / "model.json"),
                  "--out", str(tmp_path / "model.lttw")]) == 1
     key, value = next(iter(bad.items()))
-    assert_one_error(capsys, f"{key} must be {'finite' if value == float('inf') else '> 0'}")
+    assert_one_error(capsys, f"{key} must be {'finite' if value >= 1e308 else '> 0'}")
+    assert not (tmp_path / "model.lttw").exists()
+
+
+def test_pretrain_rejects_an_integer_size_beyond_float(workspace, tmp_path, capsys):
+    (tmp_path / "model.json").write_text(json.dumps({"embed_dim": 10**400}))
+    assert main(["pretrain", "--data", str(workspace / "data"),
+                 "--config", str(tmp_path / "model.json"),
+                 "--out", str(tmp_path / "model.lttw")]) == 1
+    assert_one_error(capsys, "too large")
     assert not (tmp_path / "model.lttw").exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ltt import tensor as T
-from ltt.lora import (LoraConfig, attach, base_weight_hash,
+from ltt.lora import (LoraAdapter, LoraConfig, attach, base_weight_hash,
                       trainable_parameter_count)
 from ltt.optim import AdamW
 from ltt.serial import config_from_json, read_checkpoint, write_checkpoint
@@ -41,14 +41,61 @@ def test_zero_scale_annihilates_trained_adapters(tiny_model):
 
 def test_adapter_forward_hand_example():
     # d=2, r=1, W0=I, x=[1,0], A=[1,0], B=[1;1], scale 2 -> h = [3, 2]
-    from ltt.lora import LoraAdapter
     ad = LoraAdapter(d1=2, d2=2, rank=1, scale=2.0, dtype=np.float64)
     ad.a.data = np.array([[1.0, 0.0]])
     ad.b.data = np.array([[1.0], [1.0]])
     x = Tensor(np.array([[1.0, 0.0]]))
     w0 = Tensor(np.eye(2))
-    h = T.add(T.matmul(x, T.transpose(w0, (1, 0))), ad.delta(x))
+    h = T.linear(x, T.add(w0, ad.delta()))
     assert np.allclose(h.data, [[3.0, 2.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_merged_projection_matches_two_branch_oracle(dtype, tol):
+    # (W + gamma B A) x + b against W x + b + gamma B (A x), with nonzero B:
+    # the forward and the gradients of A, B and x
+    rng = np.random.default_rng(30)
+    d1, d2, rank, scale = 6, 8, 3, 2.5
+    ad = LoraAdapter(d1=d1, d2=d2, rank=rank, scale=scale, dtype=dtype)
+    ad.init_weights(rng)
+    ad.b.data = rng.normal(0, 0.5, size=(d1, rank)).astype(dtype)
+    w = Tensor(rng.normal(0, 0.5, size=(d1, d2)).astype(dtype))
+    bias = Tensor(rng.normal(0, 0.5, size=d1).astype(dtype))
+    x = Tensor(rng.normal(size=(4, 5, d2)).astype(dtype), requires_grad=True)
+    upstream = Tensor(rng.normal(size=(4, 5, d1)).astype(dtype))
+
+    def run(project):
+        for t in (ad.a, ad.b, x):
+            t.grad = None
+        with Tape():
+            y = project()
+            backward(T.tsum(T.mul(y, upstream)))
+        return [y.data, ad.a.grad, ad.b.grad, x.grad]
+
+    merged = run(lambda: T.linear(x, T.add(w, ad.delta()), bias))
+    two_branch = run(lambda: T.add(T.linear(x, w, bias), T.mul(
+        T.linear(T.linear(x, ad.a), ad.b), float(scale))))
+    for name, got, want in zip(("y", "dA", "dB", "dx"), merged, two_branch):
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max(),
+                                   err_msg=name)
+
+
+def test_zero_b_adapted_forward_is_bit_identical_to_base(tiny_model):
+    adapted = attach(tiny_model, LoraConfig(rank=4, scale=12.0, layers=(1, 2)),
+                     np.random.default_rng(31))
+    rng = np.random.default_rng(32)
+    views = rng.uniform(0, 1, size=(64, 3, 32, 32)).astype(np.float32)
+    with T.no_grad():
+        base_cls, base_tok = tiny_model.encode_image_batch(views)
+        cls, tok = adapted.encode_image_batch(views)
+    assert np.array_equal(cls.data, base_cls.data)
+    assert np.array_equal(tok.data, base_tok.data)
+    with Tape() as tape:
+        cls, tok = adapted.encode_image_batch(views)
+    assert tape.num_nodes > 0
+    assert np.array_equal(cls.data, base_cls.data)
+    assert np.array_equal(tok.data, base_tok.data)
 
 
 def test_reset_restores_base_behaviour(tiny_model):

@@ -117,3 +117,11 @@ def test_moments_start_at_zero_and_persist_across_steps():
     assert m.shape == (2, 3) and np.array_equal(m, np.full((2, 3), 1.0 - 0.9))
     opt.step()
     assert opt.m["w"] is m and opt.t == 2
+
+
+@pytest.mark.parametrize("kwargs", [{"lr": float("nan")}, {"lr": -1.0}, {"lr": float("inf")},
+                                    {"wd": float("nan")}, {"wd": -0.1}])
+def test_rejects_bad_lr_and_wd(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        AdamW({"w": Tensor(np.zeros(2), requires_grad=True)}, **kwargs)

@@ -10,6 +10,10 @@ Two source trees that print the same JSON write the same bytes.
 
     python tools/output_digests.py                   # this tree's src/
     python tools/output_digests.py --src OTHER/src   # another checkout
+    python tools/output_digests.py --keep DIR        # leave the outputs in DIR
+
+Two `episodes.jsonl` files kept this way can be compared field by field
+with `tools/episode_diff.py`.
 """
 
 from __future__ import annotations
@@ -94,12 +98,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                     help="directory holding the ltt package (default: this tree's src/)")
+    ap.add_argument("--keep", type=Path, default=None,
+                    help="write the workspace to this new directory and leave it there")
     args = ap.parse_args(argv)
     if not (args.src / "ltt" / "__init__.py").is_file():
         ap.error(f"no ltt package under {args.src}")
     sys.path.insert(0, str(args.src.resolve()))
-    with tempfile.TemporaryDirectory(prefix="ltt-digests-") as tmp:
-        print(json.dumps(digests(Path(tmp)), indent=1))
+    if args.keep is not None:
+        args.keep.mkdir(parents=True)
+    work = (contextlib.nullcontext(args.keep) if args.keep is not None
+            else tempfile.TemporaryDirectory(prefix="ltt-digests-"))
+    with work as path:
+        print(json.dumps(digests(Path(path)), indent=1))
     return 0
 
 
