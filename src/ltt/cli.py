@@ -175,7 +175,7 @@ def main(argv=None) -> int:
         return 0 if not e.code else 1
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OverflowError) as e:
+    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -10,6 +10,7 @@ precomputed table of class text embeddings, temperature-scaled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,9 @@ class VitConfig:
     def __post_init__(self):
         check_positive(self, "image_size", "patch_size", "embed_dim", "num_heads",
                        "mlp_ratio", "out_dim")
-        if not math.isfinite(self.embed_dim * self.mlp_ratio):
-            raise ValueError(f"VitConfig.mlp_ratio must be finite, and so must the MLP width "
-                             f"embed_dim * mlp_ratio = {self.embed_dim} * {self.mlp_ratio}")
+        if self.embed_dim > sys.float_info.max / self.mlp_ratio:  # no overflow on a huge int
+            raise ValueError(f"VitConfig.embed_dim * mlp_ratio must be finite, got "
+                             f"{self.embed_dim} * {self.mlp_ratio}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

@@ -54,15 +54,16 @@ class LoraConfig:
 
 
 class LoraAdapter:
-    """One (A, B) pair attached in parallel to a frozen projection matrix."""
+    """One (A, B) pair whose delta gamma * B A is added to a frozen projection weight."""
 
     def __init__(self, d1: int, d2: int, rank: int, scale: float, dtype):
         self.scale = scale
+        self.d2 = d2
         self.a = Tensor(np.zeros((rank, d2), dtype=dtype), requires_grad=True)
         self.b = Tensor(np.zeros((d1, rank), dtype=dtype), requires_grad=True)
 
     def init_weights(self, rng: np.random.Generator):
-        bound = 1.0 / np.sqrt(self.a.shape[1])
+        bound = 1.0 / np.sqrt(self.d2)
         self.a.data = rng.uniform(-bound, bound, size=self.a.shape).astype(self.a.dtype)
         self.b.data = np.zeros_like(self.b.data)
 
@@ -86,15 +87,18 @@ class AdaptedEncoder:
             raise ValueError(f"rank {config.rank} exceeds min(d1,d2)/2 = {d // 2}")
         layers = config.resolved_layers(model.vit.num_layers)
         self.adapters: dict[tuple, LoraAdapter] = {}
-        self.trainables: dict[str, Tensor] = {}
-        for li in layers:  # sorted, so both maps are in (layer, tag) order
-            for m in sorted(config.matrices):
+        for li in layers:
+            for m in config.matrices:
                 base = f"img.layers.{li - 1}.attn.w{m}"
                 if base not in model.params:
                     raise ValueError(f"no such base matrix {base!r}")
-                ad = self.adapters[(li, m)] = LoraAdapter(d, d, config.rank, config.scale,
-                                                          model.dtype)
-                self.trainables[f"{base}.lora_a"], self.trainables[f"{base}.lora_b"] = ad.a, ad.b
+                self.adapters[(li, m)] = LoraAdapter(d, d, config.rank, config.scale,
+                                                     model.dtype)
+        self.trainables: dict[str, Tensor] = {}
+        for li, m in sorted(self.adapters):
+            base = f"img.layers.{li - 1}.attn.w{m}"
+            self.trainables[f"{base}.lora_a"] = self.adapters[(li, m)].a
+            self.trainables[f"{base}.lora_b"] = self.adapters[(li, m)].b
         self.baseline: dict[str, np.ndarray] | None = None
         self.reset(rng)
 
@@ -108,8 +112,8 @@ class AdaptedEncoder:
         """Return to the pre-episode state: B=0 with a fresh A draw, or the
         loaded pre-initialized adapter weights when those were installed."""
         if self.baseline is None:
-            for ad in self.adapters.values():
-                ad.init_weights(rng)
+            for key in sorted(self.adapters):
+                self.adapters[key].init_weights(rng)
         for name, t in self.trainables.items():
             if self.baseline is not None:
                 t.data = self.baseline[name].copy()
@@ -146,7 +150,10 @@ class AdaptedEncoder:
         self.reset(None)
 
 
-def attach(model: ClipModel, config: LoraConfig, rng: np.random.Generator) -> AdaptedEncoder:
+def attach(model: ClipModel, config: LoraConfig,
+           rng: np.random.Generator | None = None) -> AdaptedEncoder:
+    if rng is None:
+        rng = np.random.default_rng(0)
     return AdaptedEncoder(model, config, rng)
 
 

@@ -238,7 +238,7 @@ def test_pretrain_rejects_an_integer_size_beyond_float(workspace, tmp_path, caps
     assert main(["pretrain", "--data", str(workspace / "data"),
                  "--config", str(tmp_path / "model.json"),
                  "--out", str(tmp_path / "model.lttw")]) == 1
-    assert_one_error(capsys, "too large")
+    assert_one_error(capsys, "embed_dim * mlp_ratio must be finite")
     assert not (tmp_path / "model.lttw").exists()
 
 
