@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -177,8 +178,8 @@ def config_from_json(cls, obj):
         default = getattr(defaults, name)
         if is_dataclass(default):
             value = config_from_json(type(default), value)
-        elif isinstance(default, float) and type(value) is int:
-            value = float(value)
+        elif isinstance(default, float) and type(value) is int:  # huge: inf, rejected below
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
         elif isinstance(default, tuple) and isinstance(value, list):
             value = tuple(value)
         elif type(value) is not type(default):  # bool is not taken for int

@@ -233,12 +233,14 @@ def test_pretrain_rejects_non_positive_model_sizes(workspace, tmp_path, capsys, 
     assert not (tmp_path / "model.lttw").exists()
 
 
-def test_pretrain_rejects_an_integer_size_beyond_float(workspace, tmp_path, capsys):
-    (tmp_path / "model.json").write_text(json.dumps({"embed_dim": 10**400}))
+@pytest.mark.parametrize("key, needle", [("embed_dim", "embed_dim * mlp_ratio must be finite"),
+                                         ("mlp_ratio", "mlp_ratio must be finite, got inf")])
+def test_pretrain_rejects_an_integer_size_beyond_float(workspace, tmp_path, capsys, key, needle):
+    (tmp_path / "model.json").write_text(json.dumps({key: 10**400}))
     assert main(["pretrain", "--data", str(workspace / "data"),
                  "--config", str(tmp_path / "model.json"),
                  "--out", str(tmp_path / "model.lttw")]) == 1
-    assert_one_error(capsys, "embed_dim * mlp_ratio must be finite")
+    assert_one_error(capsys, needle)
     assert not (tmp_path / "model.lttw").exists()
 
 
