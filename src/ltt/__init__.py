@@ -3,14 +3,14 @@
 __version__ = "0.1.0"
 
 from .encoder import ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab
-from .lora import LoraConfig, attach, trainable_parameter_count
+from .lora import AdaptedEncoder, LoraConfig, trainable_parameter_count
 from .optim import AdamW
 from .tensor import Tape, Tensor, backward, no_grad
 from .ttt import Instance, TttConfig, run_episode, run_stream
 
 __all__ = [
-    "AdamW", "ClipModel", "Instance", "LoraConfig", "Tape",
+    "AdaptedEncoder", "AdamW", "ClipModel", "Instance", "LoraConfig", "Tape",
     "Tensor", "TextConfig", "TextFeatureTable", "TttConfig", "VitConfig",
-    "Vocab", "attach", "backward", "no_grad", "run_episode", "run_stream",
+    "Vocab", "backward", "no_grad", "run_episode", "run_stream",
     "trainable_parameter_count", "__version__",
 ]

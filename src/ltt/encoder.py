@@ -22,6 +22,7 @@ from .tensor import Tensor
 META_VERSION = 1
 LOGIT_SCALE_INIT = math.log(100.0)  # 1/tau starts at the clamp; softer inits
 LOGIT_SCALE_MAX = math.log(100.0)   # weaken the learned features at this scale
+MAX_IMAGE_PARAMS = 10**8  # 400 MB as float32; the default image tower has 217,664
 
 
 def check_positive(cfg, *names: str):
@@ -54,6 +55,11 @@ class VitConfig:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
         if self.num_layers < 2:
             raise ValueError("need num_layers >= 2")
+        d, h = self.embed_dim, int(self.embed_dim * self.mlp_ratio)
+        n = (d * (self.patch_dim + self.num_patches + 5 + self.out_dim)  # every img.* weight
+             + self.num_layers * (4 * d * d + 2 * h * d + h + 9 * d))
+        if n > MAX_IMAGE_PARAMS:
+            raise ValueError(f"{self} has {n} image-tower parameters, more than {MAX_IMAGE_PARAMS}")
 
     @property
     def num_patches(self) -> int:
@@ -185,6 +191,28 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
                      (b, idx.shape[1], d))
 
 
+def _block(x: Tensor, p: dict, prefix: str, num_heads: int) -> Tensor:
+    b, t, d = x.shape
+    dh = d // num_heads
+
+    def attn_proj(h: Tensor, tag: str) -> Tensor:
+        return T.linear(h, p[f"{prefix}.attn.w{tag}"], p[f"{prefix}.attn.b{tag}"])
+
+    h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
+    q, k, v = (T.transpose(T.reshape(attn_proj(h, m), (b, t, num_heads, dh)), (0, 2, 1, 3))
+               for m in "qkv")
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    scores = T.mul(scores, 1.0 / math.sqrt(dh))
+    att = T.softmax(scores, axis=-1)
+    ctx = T.matmul(att, v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+    x = T.add(x, attn_proj(ctx, "o"))
+
+    h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
+    h = T.gelu(T.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
+    return T.add(x, T.linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"]))
+
+
 class ClipModel:
     """Frozen-by-default dual encoder. All weights live in a flat name->Tensor map;
     a weight trains exactly when its requires_grad is set."""
@@ -265,31 +293,6 @@ class ClipModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _block(self, x: Tensor, prefix: str, num_heads: int, adapters=None,
-               layer: int = 0) -> Tensor:
-        b, t, d = x.shape
-        dh = d // num_heads
-        p = self.params
-
-        def attn_proj(h: Tensor, tag: str) -> Tensor:
-            w, bias = p[f"{prefix}.attn.w{tag}"], p[f"{prefix}.attn.b{tag}"]
-            ad = adapters.get((layer, tag)) if adapters else None
-            return T.linear(h, w if ad is None else T.add(w, ad.delta()), bias)
-
-        h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-        q, k, v = (T.transpose(T.reshape(attn_proj(h, m), (b, t, num_heads, dh)), (0, 2, 1, 3))
-                   for m in "qkv")
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-        scores = T.mul(scores, 1.0 / math.sqrt(dh))
-        att = T.softmax(scores, axis=-1)
-        ctx = T.matmul(att, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-        x = T.add(x, attn_proj(ctx, "o"))
-
-        h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-        h = T.gelu(T.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
-        return T.add(x, T.linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"]))
-
     def patchify(self, images: np.ndarray) -> np.ndarray:
         """(B,3,H,W) -> (B, P, 3*p*p), row-major patch order."""
         p = self.vit.patch_size
@@ -299,15 +302,15 @@ class ClipModel:
         x = x.transpose(0, 2, 4, 1, 3, 5)
         return np.ascontiguousarray(x.reshape(b, g * g, c * p * p), dtype=self.dtype)
 
-    def encode_image_batch(self, images, adapters=None, keep=None) -> tuple[Tensor, Tensor]:
+    def encode_image_batch(self, images, keep=None, weights=None) -> tuple[Tensor, Tensor]:
         """Forward of a batch. Returns (cls B x D_e, tokens B x (K-1) x D_e).
-
-        adapters, when given, maps (1-based layer, matrix tag) to the LoRA
-        adapter whose weight delta is added to that attention projection.
 
         keep, when given, is a (B, K) int array of the tokens each row keeps:
         0 is the class token and 1 + j is patch j. Positions are added before
         the gather. Without it every row keeps all 1 + P tokens.
+
+        weights, when given, maps parameter names to tensors used in place of
+        the model's own; the model's weights are only read.
         """
         imgs = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=self.dtype)
         s = self.vit.image_size
@@ -315,7 +318,7 @@ class ClipModel:
             raise ValueError(f"expected images of shape (*,3,{s},{s}), got {imgs.shape}")
         b = imgs.shape[0]
         d = self.vit.embed_dim
-        p = self.params
+        p = {**self.params, **weights} if weights else self.params
         x = T.linear(Tensor(self.patchify(imgs)), p["img.patch.w"], p["img.patch.b"])
         cls = T.broadcast_to(T.reshape(p["img.cls"], (1, 1, d)), (b, 1, d))
         x = T.concat([cls, x], axis=1)
@@ -328,7 +331,7 @@ class ClipModel:
                 raise ValueError(f"keep must be a ({b}, K) array of token indices in [0, {n})")
             x = gather_rows(x, keep)
         for i in range(self.vit.num_layers):
-            x = self._block(x, f"img.layers.{i}", self.vit.num_heads, adapters, i + 1)
+            x = _block(x, p, f"img.layers.{i}", self.vit.num_heads)
         x = T.layer_norm(x, p["img.ln_f.g"], p["img.ln_f.b"])
         x = T.linear(x, p["img.proj"])
         cls_out = T.reshape(T.slice_axis(x, 1, 0, 1), (b, self.vit.out_dim))
@@ -352,7 +355,7 @@ class ClipModel:
         x = T.reshape(x, (b, L, self.txt.width))
         x = T.add(x, T.slice_axis(p["txt.pos"], 0, 0, L))
         for i in range(self.txt.num_layers):
-            x = self._block(x, f"txt.layers.{i}", self.txt.num_heads)
+            x = _block(x, p, f"txt.layers.{i}", self.txt.num_heads)
         x = T.layer_norm(x, p["txt.ln_f.g"], p["txt.ln_f.b"])
         eos = T.reshape(T.slice_axis(x, 1, L - 1, L), (b, self.txt.width))
         return T.linear(eos, p["txt.proj"])

@@ -8,6 +8,7 @@ W0 bit for bit and a fresh adapter is an exact identity. W0 is never written.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.scale < 0:
-            raise ValueError(f"scale must be >= 0, got {self.scale}")
+        if not 0 <= self.scale < math.inf:  # also rejects NaN
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
         self.matrices = tuple(self.matrices)
         self.layers = tuple(self.layers)
         for i in self.layers:
@@ -75,8 +76,10 @@ class LoraAdapter:
 class AdaptedEncoder:
     """Frozen base model plus episode-local LoRA adapters.
 
-    `trainables` names every A and B tensor in sorted (layer, tag) order,
-    A before B, which is the record order of a saved adapter checkpoint.
+    `adapters` maps each adapted base weight's name to its adapter in sorted
+    (layer, tag) order, which is the A draw order. `trainables` names every
+    A and B tensor in that order, A before B, which is the record order of a
+    saved adapter checkpoint.
     """
 
     def __init__(self, model: ClipModel, config: LoraConfig, rng: np.random.Generator):
@@ -85,25 +88,24 @@ class AdaptedEncoder:
         d = model.vit.embed_dim
         if config.rank > d // 2:
             raise ValueError(f"rank {config.rank} exceeds min(d1,d2)/2 = {d // 2}")
-        layers = config.resolved_layers(model.vit.num_layers)
-        self.adapters: dict[tuple, LoraAdapter] = {}
-        for li in layers:
-            for m in config.matrices:
+        self.adapters: dict[str, LoraAdapter] = {}
+        self.trainables: dict[str, Tensor] = {}
+        for li in config.resolved_layers(model.vit.num_layers):
+            for m in sorted(config.matrices):
                 base = f"img.layers.{li - 1}.attn.w{m}"
                 if base not in model.params:
                     raise ValueError(f"no such base matrix {base!r}")
-                self.adapters[(li, m)] = LoraAdapter(d, d, config.rank, config.scale,
-                                                     model.dtype)
-        self.trainables: dict[str, Tensor] = {}
-        for li, m in sorted(self.adapters):
-            base = f"img.layers.{li - 1}.attn.w{m}"
-            self.trainables[f"{base}.lora_a"] = self.adapters[(li, m)].a
-            self.trainables[f"{base}.lora_b"] = self.adapters[(li, m)].b
+                ad = self.adapters[base] = LoraAdapter(d, d, config.rank, config.scale,
+                                                       model.dtype)
+                self.trainables[f"{base}.lora_a"] = ad.a
+                self.trainables[f"{base}.lora_b"] = ad.b
         self.baseline: dict[str, np.ndarray] | None = None
         self.reset(rng)
 
     def encode_image_batch(self, images, keep=None):
-        return self.model.encode_image_batch(images, self.adapters, keep)
+        p = self.model.params
+        return self.model.encode_image_batch(
+            images, keep, {name: T.add(p[name], ad.delta()) for name, ad in self.adapters.items()})
 
     def trainable_count(self) -> int:
         return sum(t.data.size for t in self.trainables.values())
@@ -112,8 +114,8 @@ class AdaptedEncoder:
         """Return to the pre-episode state: B=0 with a fresh A draw, or the
         loaded pre-initialized adapter weights when those were installed."""
         if self.baseline is None:
-            for key in sorted(self.adapters):
-                self.adapters[key].init_weights(rng)
+            for ad in self.adapters.values():
+                ad.init_weights(rng)
         for name, t in self.trainables.items():
             if self.baseline is not None:
                 t.data = self.baseline[name].copy()
@@ -148,13 +150,6 @@ class AdaptedEncoder:
                                  f"expected {t.shape}")
         self.baseline = {name: arrays[name].astype(t.dtype) for name, t in self.trainables.items()}
         self.reset(None)
-
-
-def attach(model: ClipModel, config: LoraConfig,
-           rng: np.random.Generator | None = None) -> AdaptedEncoder:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return AdaptedEncoder(model, config, rng)
 
 
 def trainable_parameter_count(config: LoraConfig, embed_dim: int, num_layers: int) -> int:

@@ -101,9 +101,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _tracked(self) -> bool:
         return self.requires_grad or self._backward is not None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
@@ -20,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .encoder import (ClipModel, TextFeatureTable, classify_batch, contrastive_loss,
                       gather_rows)
-from .lora import AdaptedEncoder, LoraConfig, attach
+from .lora import AdaptedEncoder, LoraConfig
 from .optim import AdamW
 from .tensor import Tape, Tensor, backward, no_grad
 from .views import make_views, normalize, resize_bilinear, sample_mask
@@ -59,10 +60,9 @@ class TttConfig:
             raise ValueError(f"num_views must be >= 1, got {self.num_views}")
         if not (0.0 <= self.mask_ratio < 1.0):
             raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
-        if not (self.lr >= 0 and self.wd >= 0):  # also rejects NaN
-            raise ValueError(f"lr and wd must be >= 0, got lr={self.lr} wd={self.wd}")
-        if self.lam_mem < 0 or self.lam_mae < 0:
-            raise ValueError("loss weights must be >= 0")
+        for name in ("lr", "wd", "lam_mem", "lam_mae"):
+            if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         # single-loss variants pin the other weight to zero
         if self.mode == "lora_ttt_m":
             self.lam_mae = 0.0
@@ -154,8 +154,7 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
     k = selected_views.shape[0]
     if k < 1:
         raise ValueError("mae_loss: empty selection")
-    model = encoder.model if hasattr(encoder, "model") else encoder
-    p_total = model.vit.num_patches
+    p_total = encoder.model.vit.num_patches
     if unmasked_cls is None:
         unmasked_cls, unmasked_tokens = encoder.encode_image_batch(selected_views)
         if stats is not None:
@@ -191,35 +190,28 @@ def total_loss(l_mem, l_mae, lam1: float, lam2: float):
 
 
 class FullTuneEncoder:
-    """Image Encoder Tuning baseline: the last two layers' attention
-    projections (weights and biases) are trained directly; reset restores
-    the snapshot so the base model is untouched across episodes."""
+    """Image Encoder Tuning baseline: trains copies of the last two layers'
+    attention projections (weights and biases), which the forward reads in
+    place of the model's; reset copies the model's values back."""
 
     def __init__(self, model: ClipModel):
         self.model = model
         n = model.vit.num_layers
         names = [f"img.layers.{i}.attn.{t}" for i in (n - 2, n - 1)
                  for t in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        self.trainables = {name: model.params[name] for name in names}
-        self.snapshot = {name: t.data.copy() for name, t in self.trainables.items()}
-        for t in self.trainables.values():
-            t.requires_grad = True
+        self.trainables = {name: Tensor(model.params[name].data.copy(), requires_grad=True)
+                           for name in names}
 
     def encode_image_batch(self, images, keep=None):
-        return self.model.encode_image_batch(images, keep=keep)
+        return self.model.encode_image_batch(images, keep, self.trainables)
 
     def trainable_count(self) -> int:
         return sum(t.data.size for t in self.trainables.values())
 
     def reset(self, rng=None):
         for name, t in self.trainables.items():
-            t.data = self.snapshot[name].copy()
+            t.data = self.model.params[name].data.copy()
             t.grad = None
-
-    def finish(self):
-        self.reset()
-        for t in self.trainables.values():
-            t.requires_grad = False
 
 
 def build_encoder_for_mode(model: ClipModel, cfg: TttConfig):
@@ -227,7 +219,7 @@ def build_encoder_for_mode(model: ClipModel, cfg: TttConfig):
         return model
     if cfg.mode == "full_tune":
         return FullTuneEncoder(model)
-    return attach(model, cfg.lora, np.random.default_rng(cfg.seed))
+    return AdaptedEncoder(model, cfg.lora, np.random.default_rng(cfg.seed))
 
 
 def episode_rng(seed: int, instance_id: str) -> np.random.Generator:
@@ -373,15 +365,11 @@ def run_stream(items: list[Instance], model: ClipModel, table: TextFeatureTable,
         encoder.load_adapters(adapters_path)
     resets = 0
     episodes: list[EpisodeResult] = []
-    try:
-        for item in items:
-            rng = episode_rng(cfg.seed, item.id)
-            episodes.append(run_episode(item, encoder, table, cfg, rng))
-            if cfg.mode != "zero_shot":
-                resets += 1
-    finally:
-        if isinstance(encoder, FullTuneEncoder):
-            encoder.finish()
+    for item in items:
+        rng = episode_rng(cfg.seed, item.id)
+        episodes.append(run_episode(item, encoder, table, cfg, rng))
+        if cfg.mode != "zero_shot":
+            resets += 1
 
     labeled = [(ep.predicted, ep.label) for ep in episodes if ep.label is not None]
     top1 = top1_accuracy([p for p, _ in labeled], [l for _, l in labeled]) if labeled else 0.0
@@ -412,7 +400,7 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
     """
     if not pairs:
         raise ValueError("empty image-text pair set")
-    encoder = attach(model, lora_cfg or LoraConfig(), rng)
+    encoder = AdaptedEncoder(model, lora_cfg or LoraConfig(), rng)
     scale = 1.0 / model.tau
     with no_grad():
         caption_feats = {}

@@ -17,7 +17,7 @@ from ltt.cli import main as cli_main
 from ltt.data import DatasetManifest, SyntheticShiftSpec, generate, load_split
 from ltt.encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab,
                          classify_batch, build_text_table)
-from ltt.lora import LoraConfig, attach, base_weight_hash, trainable_parameter_count
+from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash, trainable_parameter_count
 from ltt.metrics import ece
 from ltt.optim import AdamW
 from ltt.pretrain import pretrain
@@ -111,7 +111,7 @@ def test_criterion_1_gradient_integrity():
     worst = 0.0
     for episode in range(5):
         rng = np.random.default_rng(1000 + episode)
-        adapted = attach(model, LoraConfig(rank=2, scale=2.0), rng)
+        adapted = AdaptedEncoder(model, LoraConfig(rank=2, scale=2.0), rng)
         # nonzero A and B so gradients flow to both matrices
         for ad in adapted.adapters.values():
             ad.a.data = rng.normal(0, 0.1, ad.a.data.shape)
@@ -147,7 +147,7 @@ def test_criterion_1_gradient_integrity():
 
 def test_criterion_2_identity_at_init(bench):
     model, table = bench["model"], bench["table"]
-    adapted = attach(model, LoraConfig(), np.random.default_rng(7))
+    adapted = AdaptedEncoder(model, LoraConfig(), np.random.default_rng(7))
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(100):
@@ -297,7 +297,7 @@ def test_criterion_7_parameter_accounting():
             for mats in grid_mats.values():
                 cfg = LoraConfig(rank=r, matrices=mats, layers=layers)
                 formula = trainable_parameter_count(cfg, 768, 4)
-                runtime = attach(model, cfg, np.random.default_rng(0)).trainable_count()
+                runtime = AdaptedEncoder(model, cfg, np.random.default_rng(0)).trainable_count()
                 ok &= formula == runtime
                 checked += 1
     ref = trainable_parameter_count(

@@ -233,10 +233,19 @@ def test_pretrain_rejects_non_positive_model_sizes(workspace, tmp_path, capsys, 
     assert not (tmp_path / "model.lttw").exists()
 
 
-@pytest.mark.parametrize("key, needle", [("embed_dim", "embed_dim * mlp_ratio must be finite"),
-                                         ("mlp_ratio", "mlp_ratio must be finite, got inf")])
-def test_pretrain_rejects_an_integer_size_beyond_float(workspace, tmp_path, capsys, key, needle):
-    (tmp_path / "model.json").write_text(json.dumps({key: 10**400}))
+HUGE_SIZES = [({"embed_dim": 10**400}, "embed_dim * mlp_ratio must be finite"),
+              ({"mlp_ratio": 10**400}, "mlp_ratio must be finite, got inf"),
+              ({"embed_dim": 2**40, "num_heads": 1}, "embed_dim=1099511627776, num_layers=4, "
+                                                     "num_heads=1"),
+              ({"image_size": 2**70, "patch_size": 2**35}, f"image_size={2**70}, "
+                                                           f"patch_size={2**35}")]
+
+
+@pytest.mark.parametrize("config, needle", HUGE_SIZES,
+                         ids=[f"{next(iter(c))}-{n}" for c, n in HUGE_SIZES])
+def test_pretrain_rejects_an_integer_size_beyond_float(workspace, tmp_path, capsys, config,
+                                                       needle):
+    (tmp_path / "model.json").write_text(json.dumps(config))
     assert main(["pretrain", "--data", str(workspace / "data"),
                  "--config", str(tmp_path / "model.json"),
                  "--out", str(tmp_path / "model.lttw")]) == 1

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ltt import tensor as T
+from ltt import encoder, tensor as T
 from ltt.encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig,
                          build_text_table, classify_batch, contrastive_loss)
-from ltt.lora import LoraConfig, attach
+from ltt.lora import AdaptedEncoder, LoraConfig
 from ltt.serial import read_checkpoint, write_checkpoint
 from ltt.tensor import Tensor
 from ltt.views import sample_mask
@@ -74,7 +75,7 @@ def test_batch_matches_single(tiny_model):
 
 def test_batched_keep_rows_match_single_masked_views(tiny_model):
     rng = np.random.default_rng(5)
-    adapted = attach(tiny_model, LoraConfig(rank=2), rng)
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=2), rng)
     for ad in adapted.adapters.values():
         ad.b.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
     imgs = np.stack([rand_image(rng) for _ in range(4)])
@@ -86,6 +87,22 @@ def test_batched_keep_rows_match_single_masked_views(tiny_model):
         cls_s, toks_s = adapted.encode_image_batch(imgs[j][None], keep=keep[j][None])
         assert np.array_equal(cls_b.data[j], cls_s.data[0])
         assert np.array_equal(toks_b.data[j], toks_s.data[0])
+
+
+def test_weights_map_matches_a_model_holding_those_weights(tiny_model):
+    rng = np.random.default_rng(6)
+    imgs = np.stack([rand_image(rng) for _ in range(3)])
+    name = "img.layers.1.attn.wv"
+    t = Tensor(rng.normal(0, 0.1, tiny_model.params[name].shape).astype(np.float32))
+    params = dict(tiny_model.params)
+    before = {n: p.data.copy() for n, p in params.items()}
+    cls, tok = tiny_model.encode_image_batch(imgs, weights={name: t})
+    copy = ClipModel(tiny_model.vit, tiny_model.txt, tiny_model.vocab, {**before, name: t.data})
+    want_cls, want_tok = copy.encode_image_batch(imgs)
+    assert np.array_equal(cls.data, want_cls.data) and np.array_equal(tok.data, want_tok.data)
+    assert not np.array_equal(cls.data, tiny_model.encode_image_batch(imgs)[0].data)
+    assert tiny_model.params == params  # the same Tensor objects, none added or swapped
+    assert all(np.array_equal(p.data, before[n]) for n, p in tiny_model.params.items())
 
 
 def test_keep_shape_and_range_errors(tiny_model):
@@ -322,3 +339,13 @@ def test_load_rejects_malformed_meta_config(tiny_model, tmp_path, meta):
 def test_configs_reject_non_positive_sizes(cls, kw):
     with pytest.raises(ValueError, match="must be > 0"):
         cls(**kw)
+
+
+def test_image_tower_parameter_bound_is_exact(tiny_model, monkeypatch):
+    count = sum(p.data.size for n, p in tiny_model.params.items() if n.startswith("img."))
+    monkeypatch.setattr(encoder, "MAX_IMAGE_PARAMS", count)
+    VitConfig(**dataclasses.asdict(tiny_model.vit))
+    monkeypatch.setattr(encoder, "MAX_IMAGE_PARAMS", count - 1)
+    with pytest.raises(ValueError, match=f"has {count} image-tower parameters"):
+        VitConfig(**dataclasses.asdict(tiny_model.vit))
+

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ltt import tensor as T
-from ltt.lora import (LoraAdapter, LoraConfig, attach, base_weight_hash,
+from ltt.lora import (AdaptedEncoder, LoraAdapter, LoraConfig, base_weight_hash,
                       trainable_parameter_count)
 from ltt.optim import AdamW
 from ltt.serial import config_from_json, read_checkpoint, write_checkpoint
@@ -17,8 +17,8 @@ def rand_image(rng, size=32):
 
 
 def test_identity_at_init_100_images(tiny_model):
-    adapted = attach(tiny_model, LoraConfig(rank=4, scale=2.0),
-                     np.random.default_rng(9))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=4, scale=2.0),
+                             np.random.default_rng(9))
     rng = np.random.default_rng(10)
     for _ in range(100):
         img = rand_image(rng)
@@ -28,8 +28,8 @@ def test_identity_at_init_100_images(tiny_model):
 
 
 def test_zero_scale_annihilates_trained_adapters(tiny_model):
-    adapted = attach(tiny_model, LoraConfig(rank=4, scale=0.0),
-                     np.random.default_rng(11))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=4, scale=0.0),
+                             np.random.default_rng(11))
     rng = np.random.default_rng(12)
     for ad in adapted.adapters.values():
         ad.b.data = rng.normal(size=ad.b.data.shape).astype(np.float32)
@@ -82,8 +82,8 @@ def test_merged_projection_matches_two_branch_oracle(dtype, tol):
 
 
 def test_zero_b_adapted_forward_is_bit_identical_to_base(tiny_model):
-    adapted = attach(tiny_model, LoraConfig(rank=4, scale=12.0, layers=(1, 2)),
-                     np.random.default_rng(31))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=4, scale=12.0, layers=(1, 2)),
+                             np.random.default_rng(31))
     rng = np.random.default_rng(32)
     views = rng.uniform(0, 1, size=(64, 3, 32, 32)).astype(np.float32)
     with T.no_grad():
@@ -99,7 +99,7 @@ def test_zero_b_adapted_forward_is_bit_identical_to_base(tiny_model):
 
 
 def test_reset_restores_base_behaviour(tiny_model):
-    adapted = attach(tiny_model, LoraConfig(rank=4), np.random.default_rng(13))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=4), np.random.default_rng(13))
     rng = np.random.default_rng(14)
     img = rand_image(rng)
     before, _ = adapted.encode_image_batch(img[None])
@@ -119,15 +119,15 @@ def test_reset_restores_base_behaviour(tiny_model):
 
 def test_reset_never_touches_base_weights(tiny_model):
     h0 = base_weight_hash(tiny_model)
-    adapted = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(15))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=2), np.random.default_rng(15))
     for i in range(5):
         adapted.reset(np.random.default_rng(i))
     assert base_weight_hash(tiny_model) == h0
 
 
 def test_gradient_reaches_b_after_one_step(tiny_model):
-    adapted = attach(tiny_model, LoraConfig(rank=2, scale=2.0),
-                     np.random.default_rng(16))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=2, scale=2.0),
+                             np.random.default_rng(16))
     img = rand_image(np.random.default_rng(17))
     opt = AdamW(adapted.trainables, lr=0.01)
     opt.zero_grad()
@@ -156,7 +156,7 @@ def test_count_matches_runtime_enumeration(tiny_model):
     for cfg in (LoraConfig(rank=2, matrices=("v",), layers=(1,)),
                 LoraConfig(rank=4, matrices=("q", "v"), layers=(1, 2)),
                 LoraConfig(rank=8, matrices=("q", "k", "v", "o"))):
-        adapted = attach(tiny_model, cfg, np.random.default_rng(0))
+        adapted = AdaptedEncoder(tiny_model, cfg, np.random.default_rng(0))
         formula = trainable_parameter_count(cfg, tiny_model.vit.embed_dim,
                                             tiny_model.vit.num_layers)
         assert adapted.trainable_count() == formula
@@ -165,14 +165,17 @@ def test_count_matches_runtime_enumeration(tiny_model):
 def test_config_validation(tiny_model):
     with pytest.raises(ValueError, match="rank"):
         LoraConfig(rank=0)
+    for scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+            LoraConfig(scale=scale)
     with pytest.raises(ValueError, match="matrix tag"):
         LoraConfig(matrices=("z",))
     with pytest.raises(ValueError, match="duplicate matrix tag"):
         config_from_json(LoraConfig, {"matrices": ["q", "q"], "rank": 2})
     with pytest.raises(ValueError, match="layer index"):
-        attach(tiny_model, LoraConfig(layers=(7,)), np.random.default_rng(0))
+        AdaptedEncoder(tiny_model, LoraConfig(layers=(7,)), np.random.default_rng(0))
     with pytest.raises(ValueError, match="exceeds"):
-        attach(tiny_model, LoraConfig(rank=64), np.random.default_rng(0))
+        AdaptedEncoder(tiny_model, LoraConfig(rank=64), np.random.default_rng(0))
 
 
 def test_config_json_round_trip():
@@ -189,7 +192,7 @@ def test_config_json_missing_keys_take_defaults():
 
 
 def test_kaiming_uniform_bound(tiny_model):
-    adapted = attach(tiny_model, LoraConfig(rank=8), np.random.default_rng(20))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=8), np.random.default_rng(20))
     bound = 1.0 / np.sqrt(tiny_model.vit.embed_dim)
     for ad in adapted.adapters.values():
         assert np.all(np.abs(ad.a.data) <= bound)
@@ -198,7 +201,7 @@ def test_kaiming_uniform_bound(tiny_model):
 
 
 def test_adapter_checkpoint_round_trip(tiny_model, tmp_path):
-    adapted = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(21))
+    adapted = AdaptedEncoder(tiny_model, LoraConfig(rank=2), np.random.default_rng(21))
     rng = np.random.default_rng(22)
     for ad in adapted.adapters.values():
         ad.b.data = rng.normal(0, 0.1, size=ad.b.data.shape).astype(np.float32)
@@ -206,7 +209,7 @@ def test_adapter_checkpoint_round_trip(tiny_model, tmp_path):
     path = tmp_path / "adapters.lttw"
     adapted.save_adapters(path)
 
-    fresh = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
+    fresh = AdaptedEncoder(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
     fresh.load_adapters(path)
     img = rand_image(np.random.default_rng(24))
     a, _ = adapted.encode_image_batch(img[None])
@@ -221,7 +224,7 @@ def test_adapter_checkpoint_round_trip(tiny_model, tmp_path):
 @pytest.mark.parametrize("edit", ["b_shape", "scale", "matrices", "no_meta"])
 def test_adapter_checkpoint_checked_before_loading(tiny_model, tmp_path, edit):
     path = tmp_path / "adapters.lttw"
-    attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(21)).save_adapters(path)
+    AdaptedEncoder(tiny_model, LoraConfig(rank=2), np.random.default_rng(21)).save_adapters(path)
     arrays = read_checkpoint(path)
     last = sorted(arrays)[-2]  # the last adapter's B, just before meta.lora
     if edit == "b_shape":
@@ -233,7 +236,7 @@ def test_adapter_checkpoint_checked_before_loading(tiny_model, tmp_path, edit):
     else:
         del arrays["meta.lora"]
     write_checkpoint(path, arrays)
-    fresh = attach(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
+    fresh = AdaptedEncoder(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
     before = [t.data.copy() for t in fresh.trainables.values()]
     with pytest.raises(ValueError, match="lora_b" if edit == "b_shape" else "rank"):
         fresh.load_adapters(path)

@@ -7,7 +7,7 @@ import pytest
 from ltt import tensor as T
 from ltt import ttt
 from ltt.encoder import build_text_table, classify_batch
-from ltt.lora import LoraConfig, attach, base_weight_hash
+from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash
 from ltt.serial import config_from_json
 from ltt.tensor import Tensor, no_grad
 from ltt.ttt import (EpisodeResult, FullTuneEncoder, Instance, TttConfig,
@@ -123,7 +123,7 @@ def test_total_loss_values():
 
 def test_mae_loss_zero_ratio_is_zero(setup):
     model, _, items = setup
-    adapted = attach(model, LoraConfig(rank=2), np.random.default_rng(0))
+    adapted = AdaptedEncoder(model, LoraConfig(rank=2), np.random.default_rng(0))
     views = np.stack([normalize(items[0].image, model.norm_mean, model.norm_std)])
     loss = mae_loss(adapted, views, 0.0, "class_token", np.random.default_rng(1))
     assert loss.item() == pytest.approx(0.0, abs=1e-7)
@@ -141,7 +141,7 @@ def test_mae_loss_mse_hand_value():
 
 def test_mae_loss_deterministic_given_seed(setup):
     model, _, items = setup
-    adapted = attach(model, LoraConfig(rank=2), np.random.default_rng(0))
+    adapted = AdaptedEncoder(model, LoraConfig(rank=2), np.random.default_rng(0))
     views = np.stack([normalize(it.image, model.norm_mean, model.norm_std)
                       for it in items[:3]])
     a = mae_loss(adapted, views, 0.5, "class_token", np.random.default_rng(9)).item()
@@ -153,7 +153,7 @@ def test_mae_loss_deterministic_given_seed(setup):
 
 
 def nonzero_adapters(model):
-    adapted = attach(model, LoraConfig(rank=2), np.random.default_rng(0))
+    adapted = AdaptedEncoder(model, LoraConfig(rank=2), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     for ad in adapted.adapters.values():
         ad.b.data = rng.normal(0, 0.1, ad.b.data.shape).astype(np.float32)
@@ -196,7 +196,7 @@ def test_mae_loss_is_mean_of_per_view_mses(setup, target):
 
 def test_mae_loss_empty_selection(setup):
     model, _, _ = setup
-    adapted = attach(model, LoraConfig(rank=2), np.random.default_rng(0))
+    adapted = AdaptedEncoder(model, LoraConfig(rank=2), np.random.default_rng(0))
     with pytest.raises(ValueError, match="empty"):
         mae_loss(adapted, np.zeros((0, 3, 32, 32), np.float32), 0.5, "class_token",
                  np.random.default_rng(0))
@@ -293,7 +293,9 @@ def test_all_adapt_modes_run_and_reset(setup, mode):
     cfg = small_cfg(mode=mode)
     before = base_weight_hash(model)
     encoder = build_encoder_for_mode(model, cfg)
+    assert not any(t.requires_grad or t.grad is not None for t in model.params.values())
     ep = run_episode(items[3], encoder, table, cfg, episode_rng(cfg.seed, items[3].id))
+    assert not any(t.requires_grad or t.grad is not None for t in model.params.values())
     assert 0 <= ep.predicted < 3
     assert len(ep.selected) == max(1, int(0.25 * 16))
     if mode == "lora_ttt_m":
@@ -302,8 +304,6 @@ def test_all_adapt_modes_run_and_reset(setup, mode):
         assert ep.mem_loss is None
         # loss-branch forwards touch only the selected views
         assert ep.recorded_full_views == len(ep.selected)
-    if isinstance(encoder, FullTuneEncoder):
-        encoder.finish()
     assert base_weight_hash(model) == before
 
 
@@ -326,7 +326,7 @@ def post_step_b(model, table, item, cfg):
     reset = encoder.reset
 
     def spy(rng=None):
-        seen.append([encoder.adapters[key].b.data.copy() for key in sorted(encoder.adapters)])
+        seen.append([ad.b.data.copy() for ad in encoder.adapters.values()])
         reset(rng)
 
     encoder.reset = spy
@@ -376,14 +376,12 @@ def test_full_tune_has_more_trainables_than_lora(setup):
     lora_enc = build_encoder_for_mode(model, small_cfg(
         lora=LoraConfig(rank=2, layers=(1, 2))))
     assert ft.trainable_count() > lora_enc.trainable_count()
-    ft.finish()
 
 
 def test_full_tune_trainable_count():
     ft = FullTuneEncoder(build_tiny_model(embed_dim=64, num_layers=4))
     # the last two layers' 4 attention matrices of 64x64 plus their biases
     assert ft.trainable_count() == 8 * 64 * 64 + 8 * 64
-    ft.finish()
 
 
 def test_zero_shot_resizes_view0_like_adapting_modes(setup):
@@ -565,8 +563,9 @@ def test_config_validation_errors():
     for ratio in (-0.1, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="mask_ratio"):
             TttConfig(mask_ratio=ratio)
-    for bad in ({"lr": -1.0}, {"wd": -0.1}, {"lr": float("nan")}):
-        with pytest.raises(ValueError, match="lr and wd"):
-            TttConfig(**bad)
+    for name in ("lr", "wd", "lam_mem", "lam_mae"):
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+                TttConfig(**{name: value})
     # zero lr and zero masking stay valid
     TttConfig(lr=0.0, wd=0.0, mask_ratio=0.0, num_views=1)
