@@ -91,6 +91,9 @@ def cmd_run(args) -> int:
     if table.class_names != manifest.class_names:
         raise ValueError(f"table classes {table.class_names} differ from the data's "
                          f"{manifest.class_names}, order included")
+    if table.features.shape[1] != model.vit.out_dim:
+        raise ValueError(f"table {args.table} holds rows of width {table.features.shape[1]}, "
+                         f"the model embeds to {model.vit.out_dim}")
     items = load_split(args.data, args.split)
     report = run_stream(items, model, table, cfg, dataset_name=args.split,
                         adapters_path=args.adapters)

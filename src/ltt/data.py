@@ -77,6 +77,16 @@ class DatasetManifest:
     items: list[dict] = field(default_factory=list)
 
     def validate(self, root: Path | None = None):
+        norm = self.normalization if isinstance(self.normalization, dict) else {}
+        for key in ("mean", "std"):
+            try:  # as float32, the dtype pretrain hands them to the model in
+                with np.errstate(over="ignore"):
+                    v = np.asarray(norm.get(key), dtype=np.float32)
+            except (TypeError, ValueError, OverflowError):
+                v = np.asarray(np.nan)
+            if v.shape != (3,) or not np.isfinite(v).all() or (key == "std" and not (v > 0).all()):
+                raise ValueError(f"manifest normalization.{key} must hold 3 finite numbers"
+                                 f"{', each > 0' if key == 'std' else ''}, got {norm.get(key)!r}")
         k = len(self.class_names)
         ids = set()
         for it in self.items:

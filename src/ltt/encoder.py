@@ -135,52 +135,34 @@ class Vocab:
         return ids
 
 
-def _init_params(vit: VitConfig, txt: TextConfig, rng: np.random.Generator, dtype) -> dict:
-    def normal(shape, std=0.02):
-        return rng.normal(0.0, std, size=shape).astype(dtype)
+def param_layout(vit: VitConfig, txt: TextConfig) -> list[tuple[str, tuple, tuple]]:
+    """Every weight of a model as (name, shape, init) in record order, which is
+    also the draw order. init is ("normal", std) for a N(0, std^2) draw or
+    ("fill", value) for a constant."""
+    w, one, zero = ("normal", 0.02), ("fill", 1.0), ("fill", 0.0)
 
-    p: dict[str, np.ndarray] = {}
-    p["img.patch.w"] = normal((vit.embed_dim, vit.patch_dim))
-    p["img.patch.b"] = np.zeros(vit.embed_dim, dtype=dtype)
-    p["img.cls"] = normal((vit.embed_dim,))
-    p["img.pos"] = normal((1 + vit.num_patches, vit.embed_dim), std=0.01)
+    def block(prefix: str, d: int, h: int) -> list:
+        out = [(f"{prefix}.ln1.g", (d,), one), (f"{prefix}.ln1.b", (d,), zero)]
+        for m in "qkvo":
+            out += [(f"{prefix}.attn.w{m}", (d, d), w), (f"{prefix}.attn.b{m}", (d,), zero)]
+        return out + [(f"{prefix}.ln2.g", (d,), one), (f"{prefix}.ln2.b", (d,), zero),
+                      (f"{prefix}.mlp.w1", (h, d), w), (f"{prefix}.mlp.b1", (h,), zero),
+                      (f"{prefix}.mlp.w2", (d, h), w), (f"{prefix}.mlp.b2", (d,), zero)]
+
+    d, dt = vit.embed_dim, txt.width
+    out = [("img.patch.w", (d, vit.patch_dim), w), ("img.patch.b", (d,), zero),
+           ("img.cls", (d,), w), ("img.pos", (1 + vit.num_patches, d), ("normal", 0.01))]
     for i in range(vit.num_layers):
-        _init_block(p, f"img.layers.{i}", vit.embed_dim, vit.mlp_ratio, rng, dtype)
-    p["img.ln_f.g"] = np.ones(vit.embed_dim, dtype=dtype)
-    p["img.ln_f.b"] = np.zeros(vit.embed_dim, dtype=dtype)
-    p["img.proj"] = normal((vit.out_dim, vit.embed_dim))
-
-    p["txt.tok"] = normal((txt.vocab_size, txt.width))
-    p["txt.pos"] = normal((txt.context, txt.width), std=0.01)
+        out += block(f"img.layers.{i}", d, int(d * vit.mlp_ratio))
+    out += [("img.ln_f.g", (d,), one), ("img.ln_f.b", (d,), zero),
+            ("img.proj", (vit.out_dim, d), w),
+            ("txt.tok", (txt.vocab_size, dt), w), ("txt.pos", (txt.context, dt), ("normal", 0.01))]
     for i in range(txt.num_layers):
-        _init_block(p, f"txt.layers.{i}", txt.width, 4.0, rng, dtype)
-    p["txt.ln_f.g"] = np.ones(txt.width, dtype=dtype)
-    p["txt.ln_f.b"] = np.zeros(txt.width, dtype=dtype)
-    p["txt.proj"] = normal((txt.out_dim, txt.width))
-
-    p["logit_scale"] = np.asarray(LOGIT_SCALE_INIT, dtype=dtype)
-    p["norm.mean"] = np.zeros(3, dtype=dtype)
-    p["norm.std"] = np.ones(3, dtype=dtype)
-    return p
-
-
-def _init_block(p: dict, prefix: str, d: int, mlp_ratio: float, rng, dtype):
-    h = int(d * mlp_ratio)
-
-    def normal(shape, std=0.02):
-        return rng.normal(0.0, std, size=shape).astype(dtype)
-
-    p[f"{prefix}.ln1.g"] = np.ones(d, dtype=dtype)
-    p[f"{prefix}.ln1.b"] = np.zeros(d, dtype=dtype)
-    for m in ("wq", "wk", "wv", "wo"):
-        p[f"{prefix}.attn.{m}"] = normal((d, d))
-        p[f"{prefix}.attn.{m.replace('w', 'b')}"] = np.zeros(d, dtype=dtype)
-    p[f"{prefix}.ln2.g"] = np.ones(d, dtype=dtype)
-    p[f"{prefix}.ln2.b"] = np.zeros(d, dtype=dtype)
-    p[f"{prefix}.mlp.w1"] = normal((h, d))
-    p[f"{prefix}.mlp.b1"] = np.zeros(h, dtype=dtype)
-    p[f"{prefix}.mlp.w2"] = normal((d, h))
-    p[f"{prefix}.mlp.b2"] = np.zeros(d, dtype=dtype)
+        out += block(f"txt.layers.{i}", dt, 4 * dt)
+    return out + [("txt.ln_f.g", (dt,), one), ("txt.ln_f.b", (dt,), zero),
+                  ("txt.proj", (txt.out_dim, dt), w),
+                  ("logit_scale", (), ("fill", LOGIT_SCALE_INIT)),
+                  ("norm.mean", (3,), zero), ("norm.std", (3,), one)]
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -214,7 +196,8 @@ def _block(x: Tensor, p: dict, prefix: str, num_heads: int) -> Tensor:
 
 
 class ClipModel:
-    """Frozen-by-default dual encoder. All weights live in a flat name->Tensor map;
+    """Frozen-by-default dual encoder. All weights live in a flat name->Tensor map
+    that holds exactly `param_layout(vit, txt)`, in that order and one dtype;
     a weight trains exactly when its requires_grad is set."""
 
     def __init__(self, vit: VitConfig, txt: TextConfig, vocab: Vocab,
@@ -222,7 +205,18 @@ class ClipModel:
         self.vit = vit
         self.txt = txt
         self.vocab = vocab
-        self.params: dict[str, Tensor] = {name: Tensor(arr) for name, arr in arrays.items()}
+        layout = {name: shape for name, shape, _ in param_layout(vit, txt)}
+        missing = [n for n in layout if n not in arrays]
+        extra = [n for n in arrays if n not in layout]
+        if missing or extra:
+            raise ValueError(f"{'missing' if missing else 'unexpected'} weight "
+                             f"{(missing or extra)[0]!r}")
+        dtype = arrays["img.patch.w"].dtype
+        for name, shape in layout.items():
+            if arrays[name].shape != shape or arrays[name].dtype != dtype:
+                raise ValueError(f"weight {name!r} is {arrays[name].dtype} {arrays[name].shape}, "
+                                 f"expected {dtype} {shape}")
+        self.params: dict[str, Tensor] = {name: Tensor(arrays[name]) for name in layout}
 
     # -- construction / persistence -------------------------------------
 
@@ -230,7 +224,10 @@ class ClipModel:
     def create(cls, vit: VitConfig, txt: TextConfig, vocab: Vocab,
                seed: int = 0, dtype=np.float32) -> "ClipModel":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1717]))
-        return cls(vit, txt, vocab, _init_params(vit, txt, rng, dtype))
+        arrays = {name: rng.normal(0.0, v, size=shape).astype(dtype) if kind == "normal"
+                  else np.full(shape, v, dtype=dtype)
+                  for name, shape, (kind, v) in param_layout(vit, txt)}
+        return cls(vit, txt, vocab, arrays)
 
     def save(self, path):
         arrays = {name: p.data for name, p in self.params.items()}
@@ -261,7 +258,10 @@ class ClipModel:
                         out_dim=int(cfg[7]))
         txt = TextConfig(vocab_size=len(vocab), context=int(cfg[8]), width=int(cfg[9]),
                          num_layers=int(cfg[10]), num_heads=int(cfg[11]), out_dim=int(cfg[7]))
-        return cls(vit, txt, vocab, arrays)
+        try:
+            return cls(vit, txt, vocab, arrays)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {path}: {e}") from None
 
     # -- basic accessors --------------------------------------------------
 
@@ -407,8 +407,7 @@ def contrastive_loss(image_embs: Tensor, text_embs: Tensor, scale) -> Tensor:
     if image_embs.shape != text_embs.shape:
         raise ValueError(f"batch mismatch: {image_embs.shape} vs {text_embs.shape}")
     b = image_embs.shape[0]
-    sims = T.linear(image_embs, text_embs)
-    logits = T.mul(sims, scale) if isinstance(scale, Tensor) else T.mul(sims, float(scale))
+    logits = T.mul(T.linear(image_embs, text_embs), scale)
     eye = Tensor(np.eye(b, dtype=image_embs.data.dtype))
     row = T.tsum(T.mul(T.log_softmax(logits, axis=1), eye))
     col = T.tsum(T.mul(T.log_softmax(logits, axis=0), eye))

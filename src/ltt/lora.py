@@ -93,8 +93,6 @@ class AdaptedEncoder:
         for li in config.resolved_layers(model.vit.num_layers):
             for m in sorted(config.matrices):
                 base = f"img.layers.{li - 1}.attn.w{m}"
-                if base not in model.params:
-                    raise ValueError(f"no such base matrix {base!r}")
                 ad = self.adapters[base] = LoraAdapter(d, d, config.rank, config.scale,
                                                        model.dtype)
                 self.trainables[f"{base}.lora_a"] = ad.a

@@ -182,11 +182,9 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
     return T.mse(pred, target)
 
 
-def total_loss(l_mem, l_mae, lam1: float, lam2: float):
-    """lam1 * L_MEM + lam2 * L_MAE, on tensors or plain floats."""
-    if isinstance(l_mem, Tensor) or isinstance(l_mae, Tensor):
-        return T.add(T.mul(l_mem, float(lam1)), T.mul(l_mae, float(lam2)))
-    return lam1 * l_mem + lam2 * l_mae
+def total_loss(l_mem: Tensor, l_mae: Tensor, lam1: float, lam2: float) -> Tensor:
+    """lam1 * L_MEM + lam2 * L_MAE."""
+    return T.add(T.mul(l_mem, float(lam1)), T.mul(l_mae, float(lam2)))
 
 
 class FullTuneEncoder:

@@ -1,11 +1,13 @@
 """Shared oracles: central finite differences, relative-error metrics, the
-keep rows of masked views, and the per-crop view path (one 2-D bilinear
-gather per crop) that the batched crop pass must match bit for bit."""
+keep rows of masked views, the per-crop view path (one 2-D bilinear
+gather per crop) that the batched crop pass must match bit for bit, and
+checkpoints whose weights are off their layout."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ltt.serial import read_checkpoint, write_checkpoint
 from ltt.tensor import Tape, Tensor, backward
 
 
@@ -109,3 +111,24 @@ def crop_reference(img: np.ndarray, rng: np.random.Generator, out_size: int,
     if rng.random() < 0.5:
         crop = crop[:, :, ::-1]
     return crop
+
+
+# case -> (the tensor the load error must name, an edit of the checkpoint's
+# arrays); each edit keeps meta.config valid and moves one weight off the layout
+BROKEN_CHECKPOINTS = {
+    "missing": ("img.layers.1.attn.wq", lambda a, n: a.pop(n)),
+    "narrow": ("img.layers.1.attn.wk", lambda a, n: a.update({n: a[n][:, :3]})),
+    "extra": ("img.extra", lambda a, n: a.update({n: np.zeros(3, np.float32)})),
+    "float64": ("img.layers.0.mlp.w1", lambda a, n: a.update({n: a[n].astype(np.float64)})),
+    "short_vocab": ("txt.tok", lambda a, n: a.update({n: a[n][:-1]})),
+}
+
+
+def break_checkpoint(src, dst, case: str) -> str:
+    """Write the checkpoint at `src` to `dst`, broken as `case`; return the
+    name of the tensor the break is in."""
+    name, edit = BROKEN_CHECKPOINTS[case]
+    arrays = read_checkpoint(src)
+    edit(arrays, name)
+    write_checkpoint(dst, arrays)
+    return name

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from ltt.cli import main
+from ltt.encoder import TextFeatureTable
 from ltt.serial import read_checkpoint, read_tensor, write_checkpoint, write_tensor
+
+from helpers import BROKEN_CHECKPOINTS, break_checkpoint
 
 PKG = Path(__file__).resolve().parents[1] / "src"
 
@@ -294,6 +297,59 @@ def test_run_rejects_table_of_other_class_order(workspace, tmp_path, capsys):
                  "--mode", "zero-shot", "--out", str(out)]) == 1
     assert_one_error(capsys, "order included")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["zero-shot", "lora-ttt"])
+def test_run_rejects_table_of_other_width(workspace, tmp_path, capsys, mode):
+    # the workspace model embeds to 32; this table was built for 16
+    names = json.loads((workspace / "data" / "manifest.json").read_text())["class_names"]
+    table = tmp_path / "table16.lttc"
+    TextFeatureTable(names, np.eye(len(names), 16, dtype=np.float32)).save(table)
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"), "--table", str(table),
+                 "--data", str(workspace / "data"), "--mode", mode,
+                 "--config", str(workspace / "ttt.json"), "--out", str(out)]) == 1
+    assert_one_error(capsys, f"table {table} holds rows of width 16, the model embeds to 32")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CHECKPOINTS))
+def test_run_rejects_checkpoint_off_its_layout_before_the_table(workspace, tmp_path, capsys,
+                                                                case):
+    ckpt = tmp_path / "model.lttw"
+    name = break_checkpoint(workspace / "model.lttw", ckpt, case)
+    # a missing table is an I/O error (exit 2), so exit 1 shows the checkpoint failed first
+    assert main(["run", "--ckpt", str(ckpt), "--table", str(tmp_path / "absent.lttc"),
+                 "--data", str(workspace / "data"), "--mode", "zero-shot",
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ") and err.count("\n") == 1
+    assert repr(name) in err
+
+
+HALVES = [0.5, 0.5, 0.5]
+NORMALIZATIONS = {
+    "zero-std": ({"mean": HALVES, "std": [0.2, 0.0, 0.2]}, "std"),
+    "nan-mean": ({"mean": [0.5, float("nan"), 0.5], "std": HALVES}, "mean"),
+    "short-mean": ({"mean": [0.5, 0.5], "std": HALVES}, "mean"),
+    "std-zero-as-float32": ({"mean": HALVES, "std": [1e-50, 0.2, 0.2]}, "std"),
+    "not-an-object": ([0.5, 0.2], "mean"),
+}
+
+
+@pytest.mark.parametrize("case", list(NORMALIZATIONS))
+def test_pretrain_rejects_bad_manifest_normalization(workspace, tmp_path, capsys, case):
+    norm, key = NORMALIZATIONS[case]
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["normalization"] = norm
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "model.lttw"
+    assert main(["pretrain", "--data", str(data), "--config", str(workspace / "model.json"),
+                 "--epochs", "1", "--out", str(out)]) == 1
+    assert_one_error(capsys, f"manifest normalization.{key} must hold 3 finite numbers")
+    assert not out.exists()
 
 
 def test_console_entry_point(workspace):

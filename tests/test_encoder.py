@@ -12,7 +12,7 @@ from ltt.serial import read_checkpoint, write_checkpoint
 from ltt.tensor import Tensor
 from ltt.views import sample_mask
 
-from helpers import keep_rows
+from helpers import BROKEN_CHECKPOINTS, break_checkpoint, keep_rows
 
 
 def rand_image(rng, size=32):
@@ -329,6 +329,27 @@ def test_load_rejects_malformed_meta_config(tiny_model, tmp_path, meta):
     write_checkpoint(path, arrays)
     with pytest.raises(ValueError, match="meta.config"):
         ClipModel.load(path)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CHECKPOINTS))
+def test_load_rejects_weights_off_the_layout(tiny_model, tmp_path, case):
+    tiny_model.save(tmp_path / "model.lttw")
+    name = break_checkpoint(tmp_path / "model.lttw", tmp_path / "broken.lttw", case)
+    with pytest.raises(ValueError) as err:
+        ClipModel.load(tmp_path / "broken.lttw")
+    assert f"checkpoint {tmp_path / 'broken.lttw'}: " in str(err.value)
+    assert repr(name) in str(err.value)
+
+
+def test_layout_is_every_weight_in_record_order(tiny_model, tmp_path):
+    layout = encoder.param_layout(tiny_model.vit, tiny_model.txt)
+    assert [(n, s) for n, s, _ in layout] == [(n, p.shape) for n, p in tiny_model.params.items()]
+    tiny_model.save(tmp_path / "model.lttw")
+    names = [n for n, _, _ in layout] + ["meta.config", "meta.vocab"]
+    assert list(read_checkpoint(tmp_path / "model.lttw")) == names
+    for name, _, (kind, value) in layout:
+        if kind == "fill":
+            assert (tiny_model.params[name].data == np.float32(value)).all(), name
 
 
 @pytest.mark.parametrize("cls, kw", [

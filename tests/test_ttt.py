@@ -114,11 +114,12 @@ def test_mem_loss_empty_selection():
 
 
 def test_total_loss_values():
-    assert total_loss(0.5, 0.01, 1.0, 16.0) == pytest.approx(0.66, abs=1e-12)
-    assert total_loss(0.5, 0.99, 1.0, 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert total_loss(0.7, 0.01, 0.0, 16.0) == pytest.approx(0.16, abs=1e-12)
-    out = total_loss(Tensor(np.asarray(0.5)), Tensor(np.asarray(0.01)), 1.0, 16.0)
-    assert out.item() == pytest.approx(0.66, abs=1e-12)
+    for l_mem, l_mae, lam1, lam2, want in [(0.5, 0.01, 1.0, 16.0, 0.66),
+                                           (0.5, 0.99, 1.0, 0.0, 0.5),
+                                           (0.7, 0.01, 0.0, 16.0, 0.16)]:
+        out = total_loss(Tensor(np.asarray(l_mem)), Tensor(np.asarray(l_mae)), lam1, lam2)
+        assert out.dtype == np.float64 and out.shape == ()
+        assert out.item() == pytest.approx(want, abs=1e-12)
 
 
 def test_mae_loss_zero_ratio_is_zero(setup):
