@@ -16,15 +16,9 @@ from .lora import LoraConfig
 from .metrics import report_csv_rows
 from .pretrain import embed_text, pretrain
 from .serial import config_from_json
-from .ttt import TttConfig, lora_pretrain, run_stream
+from .ttt import MODES, TttConfig, lora_pretrain, run_stream
 
-CLI_MODES = {
-    "zero-shot": "zero_shot",
-    "lora-ttt": "lora_ttt",
-    "lora-ttt-m": "lora_ttt_m",
-    "lora-ttt-a": "lora_ttt_a",
-    "full-tune": "full_tune",
-}
+CLI_MODES = {mode.replace("_", "-"): mode for mode in MODES}
 
 
 def _load_json(path) -> dict:
@@ -94,7 +88,7 @@ def cmd_run(args) -> int:
     if table.features.shape[1] != model.vit.out_dim:
         raise ValueError(f"table {args.table} holds rows of width {table.features.shape[1]}, "
                          f"the model embeds to {model.vit.out_dim}")
-    items = load_split(args.data, args.split)
+    items = load_split(args.data, args.split, manifest)
     report = run_stream(items, model, table, cfg, dataset_name=args.split,
                         adapters_path=args.adapters)
     report.write_outputs(args.out)

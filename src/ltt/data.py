@@ -87,14 +87,24 @@ class DatasetManifest:
             if v.shape != (3,) or not np.isfinite(v).all() or (key == "std" and not (v > 0).all()):
                 raise ValueError(f"manifest normalization.{key} must hold 3 finite numbers"
                                  f"{', each > 0' if key == 'std' else ''}, got {norm.get(key)!r}")
-        k = len(self.class_names)
-        ids = set()
-        for it in self.items:
-            if it["id"] in ids:
-                raise ValueError(f"duplicate item id {it['id']!r}")
-            ids.add(it["id"])
-            if not (0 <= it["label"] < k):
-                raise ValueError(f"label {it['label']} out of range for {k} classes")
+        names = self.class_names
+        if not (isinstance(names, list) and len(names) >= 2
+                and all(isinstance(c, str) for c in names)):
+            raise ValueError(f"manifest class_names must be a list of >= 2 strings, got {names!r}")
+        if not isinstance(self.items, list):
+            raise ValueError(f"manifest items must be a list, got {type(self.items).__name__}")
+        first: dict = {}
+        for i, it in enumerate(self.items):
+            if not isinstance(it, dict):
+                raise ValueError(f"manifest item {i} must be an object, got {it!r}")
+            for key, kind in (("id", str), ("path", str), ("split", str), ("label", int)):
+                if type(it.get(key)) is not kind:  # so a bool is not a label
+                    raise ValueError(f"manifest item {i} {key!r} must be {kind.__name__}, "
+                                     f"got {it.get(key)!r}")
+            if first.setdefault(it["id"], i) != i:
+                raise ValueError(f"duplicate id {it['id']!r} at items {first[it['id']]} and {i}")
+            if not (0 <= it["label"] < len(names)):
+                raise ValueError(f"manifest item {i} label {it['label']} not in [0, {len(names)})")
             if root is not None and not (root / it["path"]).exists():
                 raise ValueError(f"missing tensor file {it['path']}")
 
@@ -120,9 +130,14 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         with open(path) as f:
-            obj = json.load(f)
-        man = cls(obj["class_names"], obj["normalization"], obj["items"])
-        man.validate()
+            try:
+                obj = json.load(f)
+                if not isinstance(obj, dict):
+                    raise ValueError("manifest must hold a JSON object")
+                man = cls(obj.get("class_names"), obj.get("normalization"), obj.get("items"))
+                man.validate()
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from e
         return man
 
 
@@ -315,17 +330,20 @@ def _read_image(root: Path, item: dict) -> np.ndarray:
     return img
 
 
-def load_split(data_dir, split: str) -> list[Instance]:
+def load_split(data_dir, split: str, manifest: DatasetManifest | None = None) -> list[Instance]:
     root = Path(data_dir)
-    manifest = DatasetManifest.load(root / "manifest.json")
+    manifest = manifest or DatasetManifest.load(root / "manifest.json")
     rows = manifest.items_for_split(split)
     if not rows:
         raise ValueError(f"no items in split {split!r} (have {manifest.splits()})")
     return [Instance(it["id"], _read_image(root, it), it["label"]) for it in rows]
 
 
-def load_pairs(data_dir, split: str = "train") -> list[tuple[np.ndarray, str]]:
+def load_pairs(data_dir, split: str = "train", manifest=None) -> list[tuple[np.ndarray, str]]:
     root = Path(data_dir)
-    manifest = DatasetManifest.load(root / "manifest.json")
+    manifest = manifest or DatasetManifest.load(root / "manifest.json")
     rows = manifest.items_for_split(split)
+    for it in rows:  # only training needs captions, so validate leaves them out
+        if not isinstance(it.get("caption"), str):
+            raise ValueError(f"item {it['id']!r} has no string caption")
     return [(_read_image(root, it), it["caption"]) for it in rows]

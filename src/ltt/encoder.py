@@ -312,7 +312,7 @@ class ClipModel:
         weights, when given, maps parameter names to tensors used in place of
         the model's own; the model's weights are only read.
         """
-        imgs = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=self.dtype)
+        imgs = np.asarray(images, dtype=self.dtype)
         s = self.vit.image_size
         if imgs.ndim != 4 or imgs.shape[1:] != (3, s, s):
             raise ValueError(f"expected images of shape (*,3,{s},{s}), got {imgs.shape}")

@@ -146,7 +146,11 @@ class AdaptedEncoder:
             if arrays[name].shape != t.shape:
                 raise ValueError(f"adapter {name!r} has shape {arrays[name].shape}, "
                                  f"expected {t.shape}")
-        self.baseline = {name: arrays[name].astype(t.dtype) for name, t in self.trainables.items()}
+            with np.errstate(over="ignore"):  # a float64 beyond float32 range casts to inf
+                arrays[name] = arrays[name].astype(t.dtype)
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"adapter {name!r} in {path} holds a non-finite value")
+        self.baseline = {name: arrays[name] for name in self.trainables}
         self.reset(None)
 
 

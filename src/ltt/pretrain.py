@@ -48,7 +48,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     """
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
-    pairs = load_pairs(root, "train")
+    pairs = load_pairs(root, "train", manifest)
     if not pairs:
         raise ValueError("train split is empty")
     if batch_size > len(pairs):
@@ -112,6 +112,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
 
     for t in trainables.values():
         t.requires_grad = False
+        t.grad = None
     return model, losses
 
 

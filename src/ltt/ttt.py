@@ -54,7 +54,9 @@ class TttConfig:
             raise ValueError(f"unknown recon target {self.recon_target!r}")
         if not (0.0 < self.cutoff <= 1.0):
             raise ValueError(f"cutoff must be in (0, 1], got {self.cutoff}")
-        if self.steps < 1:
+        if self.mode == "zero_shot":  # the episode with one view and no step
+            self.num_views, self.steps = 1, 0
+        elif self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.num_views < 1:
             raise ValueError(f"num_views must be >= 1, got {self.num_views}")
@@ -164,8 +166,6 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
     # rectangular batch of K = 1 + kept tokens each
     masks = [sample_mask(p_total, mask_ratio, rng) for _ in range(k)]
     kept = np.stack([np.setdiff1d(np.arange(p_total), m) for m in masks])
-    if recon_target == "visual_tokens" and kept.shape[1] == 0:
-        raise ValueError("mask leaves zero unmasked patches for visual_tokens target")
     keep = np.concatenate([np.zeros((k, 1), dtype=np.int64), 1 + kept], axis=1)
     cls_m, tok_m = encoder.encode_image_batch(selected_views, keep=keep)
     if stats is not None:
@@ -187,16 +187,13 @@ def total_loss(l_mem: Tensor, l_mae: Tensor, lam1: float, lam2: float) -> Tensor
     return T.add(T.mul(l_mem, float(lam1)), T.mul(l_mae, float(lam2)))
 
 
-class FullTuneEncoder:
-    """Image Encoder Tuning baseline: trains copies of the last two layers'
-    attention projections (weights and biases), which the forward reads in
-    place of the model's; reset copies the model's values back."""
+class TunedEncoder:
+    """Trains copies of the named model weights, which the forward reads in
+    place of the model's; reset copies the model's values back. With no
+    names it is the frozen model."""
 
-    def __init__(self, model: ClipModel):
+    def __init__(self, model: ClipModel, names=()):
         self.model = model
-        n = model.vit.num_layers
-        names = [f"img.layers.{i}.attn.{t}" for i in (n - 2, n - 1)
-                 for t in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
         self.trainables = {name: Tensor(model.params[name].data.copy(), requires_grad=True)
                            for name in names}
 
@@ -214,9 +211,11 @@ class FullTuneEncoder:
 
 def build_encoder_for_mode(model: ClipModel, cfg: TttConfig):
     if cfg.mode == "zero_shot":
-        return model
+        return TunedEncoder(model)
     if cfg.mode == "full_tune":
-        return FullTuneEncoder(model)
+        n = model.vit.num_layers
+        return TunedEncoder(model, [f"img.layers.{i}.attn.{t}" for i in (n - 2, n - 1)
+                                    for t in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
     return AdaptedEncoder(model, cfg.lora, np.random.default_rng(cfg.seed))
 
 
@@ -225,33 +224,16 @@ def episode_rng(seed: int, instance_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, int.from_bytes(digest, "big")]))
 
 
-def _classify_view0(encoder, view0: np.ndarray, table: TextFeatureTable, tau: float):
-    with no_grad():
-        cls, _ = encoder.encode_image_batch(view0[None])
-        probs = classify_batch(cls, table, tau)
-    return probs.data[0]
-
-
 def run_episode(instance: Instance, encoder, table: TextFeatureTable,
                 cfg: TttConfig, rng: np.random.Generator) -> EpisodeResult:
-    """One adapt-predict-reset episode on a single test instance."""
+    """One adapt-predict-reset episode; zero-shot is the one with one view and no step."""
     t0 = time.perf_counter()
-    model = encoder.model if hasattr(encoder, "model") else encoder
-    tau = model.tau
-    size = model.vit.image_size
+    model = encoder.model
     p_total = model.vit.num_patches
-
-    if cfg.mode == "zero_shot":
-        view0 = make_views(instance.image, 1, rng, model.norm_mean, model.norm_std, size)[0]
-        probs = _classify_view0(encoder, view0, table, tau)
-        return EpisodeResult(
-            instance_id=instance.id, predicted=int(np.argmax(probs)),
-            probs=[float(x) for x in probs], label=instance.label,
-            wall_ms=(time.perf_counter() - t0) * 1000.0)
 
     encoder.reset(rng)  # per-episode seeding: adapter state from this instance's stream
     views = make_views(instance.image, cfg.num_views, rng, model.norm_mean,
-                       model.norm_std, size)
+                       model.norm_std, model.vit.image_size)
     opt = AdamW(encoder.trainables, cfg.lr, cfg.wd)
 
     peak_nodes = 0
@@ -268,7 +250,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
         with Tape() as tape:
             with nullcontext() if combined else no_grad():
                 cls_all, tok_all = encoder.encode_image_batch(views)
-                probs_t = classify_batch(cls_all, table, tau)
+                probs_t = classify_batch(cls_all, table, model.tau)
             selected = select_confident(probs_t.data, cfg.cutoff)
             l_mem = l_mae = None
             if combined:
@@ -294,12 +276,13 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
                             None if l_mae is None else float(l_mae.data), float(loss.data)])
         opt.step()
 
-    probs = _classify_view0(encoder, views[0], table, tau)
+    with no_grad():
+        probs = classify_batch(encoder.encode_image_batch(views[:1])[0], table, model.tau).data[0]
+    mem, mae, total = step_losses[-1] if step_losses else (None, None, None)
     result = EpisodeResult(
         instance_id=instance.id, predicted=int(np.argmax(probs)),
         probs=[float(x) for x in probs], label=instance.label,
-        mem_loss=step_losses[-1][0], mae_loss=step_losses[-1][1],
-        total_loss=step_losses[-1][2], step_losses=step_losses,
+        mem_loss=mem, mae_loss=mae, total_loss=total, step_losses=step_losses,
         selected=list(selected), trainable_params=encoder.trainable_count(),
         peak_tape_nodes=peak_nodes,
         recorded_full_views=stats.get("full_views", 0),
@@ -361,13 +344,8 @@ def run_stream(items: list[Instance], model: ClipModel, table: TextFeatureTable,
         if not isinstance(encoder, AdaptedEncoder):
             raise ValueError("adapter checkpoint requires a lora mode")
         encoder.load_adapters(adapters_path)
-    resets = 0
-    episodes: list[EpisodeResult] = []
-    for item in items:
-        rng = episode_rng(cfg.seed, item.id)
-        episodes.append(run_episode(item, encoder, table, cfg, rng))
-        if cfg.mode != "zero_shot":
-            resets += 1
+    episodes = [run_episode(item, encoder, table, cfg, episode_rng(cfg.seed, item.id))
+                for item in items]
 
     labeled = [(ep.predicted, ep.label) for ep in episodes if ep.label is not None]
     top1 = top1_accuracy([p for p, _ in labeled], [l for _, l in labeled]) if labeled else 0.0
@@ -381,9 +359,9 @@ def run_stream(items: list[Instance], model: ClipModel, table: TextFeatureTable,
         top1=top1, ece=ece_val,
         mean_mem_loss=float(np.mean(mem_vals)) if mem_vals else None,
         mean_mae_loss=float(np.mean(mae_vals)) if mae_vals else None,
-        trainable_params=episodes[0].trainable_params if episodes else 0,
+        trainable_params=episodes[0].trainable_params,
         median_episode_ms=float(np.median([ep.wall_ms for ep in episodes])),
-        reset_events=resets)
+        reset_events=len(episodes) if cfg.steps else 0)
 
 
 def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs: int,

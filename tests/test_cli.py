@@ -352,6 +352,111 @@ def test_pretrain_rejects_bad_manifest_normalization(workspace, tmp_path, capsys
     assert not out.exists()
 
 
+DROP = object()
+# (where, value, needle): see edit_json
+MANIFESTS = {
+    "item-is-a-number": (("items", 5), 7, "manifest item 5 must be an object, got 7"),
+    "items-is-an-object": (("items",), {"a": {}}, "manifest items must be a list, got dict"),
+    "label-is-a-string": (("items", 5, "label"), "1", "manifest item 5 'label' must be int"),
+    "label-is-a-bool": (("items", 5, "label"), True, "manifest item 5 'label' must be int"),
+    "id-is-a-number": (("items", 5, "id"), 5, "manifest item 5 'id' must be str"),
+    "path-missing": (("items", 5, "path"), DROP, "manifest item 5 'path' must be str, got None"),
+    "split-missing": (("items", 5, "split"), DROP,
+                      "manifest item 5 'split' must be str, got None"),
+    "class-names-missing": (("class_names",), DROP, "manifest class_names must be a list"),
+    "one-class": (("class_names",), ["red circle"],
+                  "manifest class_names must be a list of >= 2 strings"),
+    "class-name-not-a-string": (("class_names", 1), 3,
+                                "manifest class_names must be a list of >= 2 strings"),
+    "not-an-object": ((), "[]", "manifest must hold a JSON object"),
+    "not-json": ((), "{", "Expecting property name"),
+}
+
+
+def edit_json(path, where, value):
+    """Set `value` at key path `where` of the JSON file, or delete that key
+    when `value` is DROP; with no path, `value` is the file's new text."""
+    if not where:
+        path.write_text(value)
+        return
+    obj = root = json.loads(path.read_text())
+    *keys, last = where
+    for key in keys:
+        obj = obj[key]
+    if value is DROP:
+        del obj[last]
+    else:
+        obj[last] = value
+    path.write_text(json.dumps(root))
+
+
+@pytest.mark.parametrize("command", ["pretrain", "run"])
+@pytest.mark.parametrize("case", list(MANIFESTS))
+def test_commands_reject_manifest_of_bad_structure(workspace, tmp_path, capsys, case, command):
+    where, value, needle = MANIFESTS[case]
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    edit_json(data / "manifest.json", where, value)
+    out = tmp_path / "out"
+    if command == "pretrain":
+        argv = ["pretrain", "--config", str(workspace / "model.json"), "--epochs", "1"]
+    else:
+        argv = ["run", "--ckpt", str(workspace / "model.lttw"), "--mode", "zero-shot",
+                "--table", str(workspace / "table.lttc")]
+    assert main([*argv, "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'manifest.json'}: ") and err.count("\n") == 1
+    assert needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("caption", [None, 5])
+def test_pretrain_names_the_item_without_a_caption_and_run_needs_none(workspace, tmp_path,
+                                                                       capsys, caption):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    for it in manifest["items"]:
+        if caption is None:
+            del it["caption"]
+        else:
+            it["caption"] = caption
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "model.lttw"
+    assert main(["pretrain", "--data", str(data), "--config", str(workspace / "model.json"),
+                 "--epochs", "1", "--out", str(out)]) == 1
+    assert_one_error(capsys, f"item {manifest['items'][0]['id']!r} has no string caption")
+    assert not out.exists()
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"), "--data", str(data),
+                 "--mode", "zero-shot", "--out", str(tmp_path / "run")]) == 0
+
+
+# 1e300 is finite in a float64 file but not once cast to the model's float32
+@pytest.mark.parametrize("bad,dtype", [(float("nan"), np.float32), (float("inf"), np.float32),
+                                       (-float("inf"), np.float32), (1e300, np.float64)])
+def test_run_rejects_non_finite_adapters(workspace, tmp_path, capsys, bad, dtype):
+    (tmp_path / "lora.json").write_text(json.dumps({"rank": 2, "scale": 2.0}))
+    adapters = tmp_path / "adapters.lttw"
+    assert main(["lora-pretrain", "--ckpt", str(workspace / "model.lttw"),
+                 "--data", str(workspace / "data"), "--lora", str(tmp_path / "lora.json"),
+                 "--out", str(adapters)]) == 0
+    run = ["run", "--ckpt", str(workspace / "model.lttw"), "--table", str(workspace / "table.lttc"),
+           "--data", str(workspace / "data"), "--mode", "lora-ttt",
+           "--config", str(workspace / "ttt.json"), "--adapters", str(adapters)]
+    assert main([*run, "--out", str(tmp_path / "clean")]) == 0
+    capsys.readouterr()
+    arrays = read_checkpoint(adapters)
+    name = "img.layers.1.attn.wv.lora_b"
+    arrays[name] = arrays[name].astype(dtype)
+    arrays[name][3, 1] = bad
+    write_checkpoint(adapters, arrays)
+    out = tmp_path / "run"
+    assert main([*run, "--out", str(out)]) == 1
+    assert_one_error(capsys, f"adapter {name!r} in {adapters} holds a non-finite value")
+    assert not (out / "report.json").exists()
+
+
 def test_console_entry_point(workspace):
     proc = subprocess.run(
         [sys.executable, "-m", "ltt.cli", "report",

@@ -34,7 +34,7 @@ def test_pretrain_smoke_and_save(mini_data, tmp_path):
     back = ClipModel.load(path)
     assert np.array_equal(back.norm_mean, model.norm_mean)
     # frozen after training
-    assert not any(t.requires_grad for t in model.params.values())
+    assert not any(t.requires_grad or t.grad is not None for t in model.params.values())
     assert not any(t.requires_grad for t in back.params.values())
     table = embed_text(path, manifest.class_names, ["a photo of a {class}"],
                        tmp_path / "mini.lttc")

@@ -10,7 +10,7 @@ from ltt.encoder import build_text_table, classify_batch
 from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash
 from ltt.serial import config_from_json
 from ltt.tensor import Tensor, no_grad
-from ltt.ttt import (EpisodeResult, FullTuneEncoder, Instance, TttConfig,
+from ltt.ttt import (EpisodeResult, Instance, TttConfig,
                      build_encoder_for_mode, entropy_np, episode_rng, lora_pretrain,
                      mae_loss, mem_loss, run_episode, run_stream, select_confident,
                      total_loss)
@@ -380,7 +380,8 @@ def test_full_tune_has_more_trainables_than_lora(setup):
 
 
 def test_full_tune_trainable_count():
-    ft = FullTuneEncoder(build_tiny_model(embed_dim=64, num_layers=4))
+    ft = build_encoder_for_mode(build_tiny_model(embed_dim=64, num_layers=4),
+                                TttConfig(mode="full_tune"))
     # the last two layers' 4 attention matrices of 64x64 plus their biases
     assert ft.trainable_count() == 8 * 64 * 64 + 8 * 64
 
@@ -389,12 +390,30 @@ def test_zero_shot_resizes_view0_like_adapting_modes(setup):
     model, table, _ = setup
     image = np.random.default_rng(41).uniform(0, 1, size=(3, 48, 48)).astype(np.float32)
     item = Instance("big", image, label=0)
-    ep = run_episode(item, model, table, TttConfig(mode="zero_shot"), episode_rng(0, item.id))
+    cfg = TttConfig(mode="zero_shot")
+    ep = run_episode(item, build_encoder_for_mode(model, cfg), table, cfg, episode_rng(0, item.id))
     view0 = make_views(image, 1, np.random.default_rng(0), model.norm_mean, model.norm_std,
                        model.vit.image_size)
     with no_grad():
         probs = classify_batch(model.encode_image_batch(view0)[0], table, model.tau).data[0]
     assert np.array_equal(np.asarray(ep.probs, dtype=np.float32), probs)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("mode", ["lora_ttt", "lora_ttt_m", "lora_ttt_a", "full_tune"])
+def test_episode_at_zero_lr_predicts_as_the_zero_step_episode(setup, mode, steps):
+    model, table, items = setup
+    item = items[5]
+
+    def episode(cfg):
+        encoder = build_encoder_for_mode(model, cfg)
+        return run_episode(item, encoder, table, cfg, episode_rng(cfg.seed, item.id))
+
+    zs = episode(small_cfg(mode="zero_shot"))
+    assert zs.step_losses == [] and zs.trainable_params == 0 and zs.peak_tape_nodes == 0
+    ep = episode(small_cfg(mode=mode, steps=steps, lr=0.0, wd=0.0))
+    assert len(ep.step_losses) == steps
+    assert ep.probs == zs.probs
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +561,12 @@ def test_lora_ttt_a_without_reconstruction_weight_is_rejected():
         TttConfig(mode="lora_ttt_a", lam_mae=0.0)
     # the combined path still tracks the entropy loss at weight 0
     TttConfig(mode="lora_ttt", lam_mem=0.0, lam_mae=0.0)
+
+
+def test_zero_shot_config_is_one_view_and_no_step():
+    cfg = config_from_json(TttConfig, {"mode": "zero_shot", "steps": 3, "num_views": 64})
+    assert (cfg.num_views, cfg.steps) == (1, 0)
+    assert config_from_json(TttConfig, json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 def test_config_json_round_trip():
