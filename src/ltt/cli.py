@@ -4,6 +4,7 @@ run, report. Exit codes: 0 ok, 1 validation error, 2 I/O error."""
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -164,7 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _keep_freed_memory():
+    """Keep freed memory in the heap (glibc; a no-op elsewhere): each episode or step
+    frees and reallocates tens of MB, and a trimmed heap faults every page in again."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt and mallopt(-3, 1 << 25):  # M_MMAP_THRESHOLD: arrays below 32 MB use the heap
+        mallopt(-1, 1 << 28)  # M_TRIM_THRESHOLD: hand back the heap top only past 256 MB
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:

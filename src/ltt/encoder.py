@@ -216,6 +216,8 @@ class ClipModel:
             if arrays[name].shape != shape or arrays[name].dtype != dtype:
                 raise ValueError(f"weight {name!r} is {arrays[name].dtype} {arrays[name].shape}, "
                                  f"expected {dtype} {shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"weight {name!r} holds a non-finite value")
         self.params: dict[str, Tensor] = {name: Tensor(arrays[name]) for name in layout}
 
     # -- construction / persistence -------------------------------------

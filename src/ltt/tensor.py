@@ -2,8 +2,8 @@
 
 Every op is a plain function returning a new Tensor. When a Tape is active
 and an input is grad-tracked, the result remembers its parents and a
-backward closure; backward() walks the graph in reverse topological order.
-Outside a tape (or under no_grad) ops are pure numpy forwards.
+backward closure; backward() walks the graph in reverse topological order and
+frees it as it goes. Outside a tape (or under no_grad) ops are pure numpy forwards.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 def _check_same_dtype(op: str, a: Tensor, b: Tensor):
@@ -218,7 +218,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
 
     def backward(g):
-        g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape) / count,)
@@ -230,7 +229,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
@@ -334,13 +332,17 @@ def gelu(a: Tensor) -> Tensor:
     data *= t + 1.0
 
     def backward(g):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x^2))
-        slope = x * x
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x^2)), two buffers
+        half = x * 0.5
+        slope = np.multiply(t, t)
+        np.subtract(1.0, slope, out=slope)
+        half *= slope
+        np.multiply(x, x, out=slope)
         slope *= 3.0 * GELU_K1
         slope += 1.0
         slope *= GELU_K0
-        slope *= x * 0.5 * (1.0 - t * t)
-        dgdx = t + 1.0
+        slope *= half
+        dgdx = np.add(t, 1.0, out=half)
         dgdx *= 0.5
         dgdx += slope
         dgdx *= g
@@ -367,16 +369,16 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EP
     need_gamma, need_beta = gamma._tracked(), beta._tracked()
 
     def backward(g):
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
+        dx = g * gamma.data
+        tmp = dx * xhat
+        xhat_dot = tmp.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, xhat_dot, out=tmp)
+        dx *= inv
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead).reshape(gamma.shape) if need_gamma else None
-        dbeta = g.sum(axis=lead).reshape(beta.shape) if need_beta else None
-        return dx, dgamma, dbeta
+        dgamma = np.multiply(g, xhat, out=tmp).sum(axis=lead) if need_gamma else None
+        return dx, dgamma, g.sum(axis=lead) if need_beta else None
 
     return _make(data, (a, gamma, beta), backward)
 
@@ -388,8 +390,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
+        buf = g * data
+        np.subtract(g, buf.sum(axis=axis, keepdims=True), out=buf)
+        buf *= data
+        return (buf,)
 
     return _make(data, (a,), backward)
 
@@ -466,9 +470,13 @@ def exp(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate .grad on every tracked tensor reachable from `loss`."""
+    """Populate .grad on every tracked leaf reachable from `loss` and consume the
+    graph: a node's grad, closure and parents are released once its closure has
+    run, so activations are freed as the walk goes and a second walk raises."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if loss._backward is None:
+        raise ShapeError("backward: loss has no graph (untracked, or already walked)")
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -487,15 +495,24 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        closure, g_out, parents = node._backward, node.grad, node._parents
+        if closure is None:  # a leaf keeps its .grad
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent._tracked():
+        node.grad, node._backward, node._parents = None, None, ()
+        if g_out is None:
+            continue
+        grads = closure(g_out)
+        for parent, raw in zip(parents, grads):
+            if raw is None or not parent._tracked():
                 continue
-            g = np.asarray(g, dtype=parent.data.dtype).reshape(parent.shape)
-            if parent.grad is None:
-                parent.grad = g.copy()
-            else:
+            g = np.asarray(raw, dtype=parent.data.dtype)
+            if g.shape != parent.shape:
+                g = g.reshape(parent.shape)
+            if parent.grad is not None:
                 parent.grad += g
+            elif g.base is None and g.flags.c_contiguous and sum(o is raw for o in grads) == 1:
+                parent.grad = g  # a fresh C-ordered array handed to this parent alone
+            else:
+                parent.grad = g.copy()

@@ -1,7 +1,8 @@
-"""Shared oracles: central finite differences, relative-error metrics, the
-keep rows of masked views, the per-crop view path (one 2-D bilinear
-gather per crop) that the batched crop pass must match bit for bit, and
-checkpoints whose weights are off their layout."""
+"""Shared oracles: central finite differences, relative-error metrics, a
+backward walk that copies every gradient and releases nothing, the keep
+rows of masked views, the per-crop view path (one 2-D bilinear gather per
+crop) that the batched crop pass must match bit for bit, and checkpoints
+whose weights are off their layout."""
 
 from __future__ import annotations
 
@@ -34,6 +35,41 @@ def analytic_grad(loss_builder, leaves: list[Tensor]) -> list[np.ndarray]:
         loss = loss_builder()
         backward(loss)
     return [leaf.grad.copy() for leaf in leaves]
+
+
+def reference_backward(loss: Tensor):
+    """The walk `backward` must match bit for bit: the same reverse
+    topological order, but every first gradient is copied and the graph is
+    kept whole."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is None or node.grad is None:
+            continue
+        grads = node._backward(node.grad)
+        for parent, g in zip(node._parents, grads):
+            if g is None or not parent._tracked():
+                continue
+            g = np.asarray(g, dtype=parent.data.dtype).reshape(parent.shape)
+            if parent.grad is None:
+                parent.grad = g.copy()
+            else:
+                parent.grad += g
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

@@ -457,6 +457,22 @@ def test_run_rejects_non_finite_adapters(workspace, tmp_path, capsys, bad, dtype
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_run_rejects_a_model_checkpoint_with_a_non_finite_weight(workspace, tmp_path, capsys,
+                                                                 bad):
+    ckpt = tmp_path / "model.lttw"
+    arrays = read_checkpoint(workspace / "model.lttw")
+    name = "img.layers.1.attn.wq"
+    arrays[name][0, 0] = bad
+    write_checkpoint(ckpt, arrays)
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(ckpt), "--table", str(workspace / "table.lttc"),
+                 "--data", str(workspace / "data"), "--mode", "zero-shot",
+                 "--out", str(out)]) == 1
+    assert_one_error(capsys, f"checkpoint {ckpt}: weight {name!r} holds a non-finite value")
+    assert not (out / "report.json").exists()
+
+
 def test_console_entry_point(workspace):
     proc = subprocess.run(
         [sys.executable, "-m", "ltt.cli", "report",

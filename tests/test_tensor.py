@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ltt import tensor as T
 from ltt.tensor import ShapeError, Tape, Tensor, backward, no_grad
 
-from helpers import check_gradients
+from helpers import check_gradients, reference_backward
 
 F64 = np.float64
 
@@ -221,10 +223,10 @@ def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
             nodes.append(T.mul(T.gelu(nodes[-1]), leaves["c"]))
             nodes.append(T.add(nodes[-1], leaves["c"]))
             nodes.append(T.mul(nodes[-1], 0.5))  # a scalar constant
+            for node in nodes:  # each closure skips exactly its untracked parents
+                grads = node._backward(np.ones_like(node.data))
+                assert [g is not None for g in grads] == [p._tracked() for p in node._parents]
             backward(T.tsum(nodes[-1]))
-        for node in nodes:  # each closure skips exactly its untracked parents
-            grads = node._backward(np.ones_like(node.data))
-            assert [g is not None for g in grads] == [p._tracked() for p in node._parents]
         return {k: leaf.grad for k, leaf in leaves.items()}
 
     full = run(frozen=())
@@ -232,6 +234,117 @@ def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
     for k in shapes:
         assert part[k] is None if k in ("b", "gamma", "beta", "c") else same_bits(part[k], full[k])
         assert full[k] is not None
+
+
+# ---------------------------------------------------------------------------
+# backward consumes its graph
+
+
+def graph_nodes(loss: Tensor) -> list:
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_interior_nodes_and_a_second_walk_raises():
+    rng = np.random.default_rng(29)
+    x, w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+               for s in [(3, 5, 8), (6, 8), (6,)])
+    with Tape():
+        h = T.gelu(T.linear(x, w, b))
+        loss = T.tsum(T.mul(T.softmax(h), T.add(h, h)))
+        nodes = graph_nodes(loss)
+        interior = [n for n in nodes if n._backward is not None]
+        backward(loss)
+        first = {name: leaf.grad.copy() for name, leaf in zip("xwb", (x, w, b))}
+        assert len(interior) == 6
+        for node in interior:
+            assert node.grad is None and node._backward is None and node._parents == ()
+        for leaf in (x, w, b):
+            assert leaf.grad is not None
+        with pytest.raises(ShapeError, match=r"no graph \(untracked, or already walked\)"):
+            backward(loss)
+    for name, leaf in zip("xwb", (x, w, b)):
+        assert same_bits(leaf.grad, first[name])
+
+
+def test_backward_rejects_a_loss_without_graph():
+    x = t(2.0, grad=True)
+    with pytest.raises(ShapeError, match="no graph"):
+        backward(T.mul(x, x))  # built outside a tape
+    with Tape(), pytest.raises(ShapeError, match="no graph"):
+        backward(x)
+
+
+# op -> leaf shapes; between them the closures hand their parents views, one
+# array twice and fresh arrays, and backward may adopt only the fresh ones
+ALIASING = {
+    "add_same_leaf": (lambda x: T.add(x, x), [(4, 6)]),
+    "add_equal_shapes": (lambda a, b: T.add(a, b), [(4, 6), (4, 6)]),
+    "add_broadcast": (lambda a, b: T.add(a, b), [(4, 6), (6,)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(4, 2), (4, 4)]),
+    "reshape_transpose": (lambda a: T.transpose(T.reshape(a, (6, 4)), (1, 0)), [(4, 3, 2)]),
+    "linear": (lambda x, w, b: T.linear(x, w, b), [(2, 4, 5), (6, 5), (6,)]),
+    "mul_same_leaf": (lambda x: T.mul(x, x), [(4, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIASING))
+def test_adopted_gradients_match_a_walk_that_copies_every_gradient(name):
+    op, shapes = ALIASING[name]
+    rng = np.random.default_rng(31)
+    values = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    extra = [rng.normal(size=s).astype(np.float32) for s in shapes]
+
+    def run(walk):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+        with Tape():
+            y = op(*leaves)
+            # y reaches the loss twice and every leaf once more on its own, so
+            # an adopted array is accumulated into after it was handed over
+            half = Tensor(np.full(y.shape, 0.5, np.float32))
+            loss = T.tsum(T.mul(T.add(T.gelu(y), T.mul(y, y)), half))
+            for leaf, c in zip(leaves, extra):
+                loss = T.add(loss, T.tsum(T.mul(leaf, Tensor(c))))
+            walk(loss)
+        return [leaf.grad for leaf in leaves]
+
+    for got, want in zip(run(backward), run(reference_backward)):
+        assert same_bits(got, want)
+
+
+def test_backward_holds_no_more_than_the_leaf_gradients():
+    from ltt.encoder import TextConfig, VitConfig, _block, param_layout
+
+    rng = np.random.default_rng(37)
+    layout = param_layout(VitConfig(), TextConfig(vocab_size=4))
+    weights = {n: Tensor(rng.normal(0, 0.02, s).astype(np.float32), requires_grad=True)
+               for n, s, _ in layout if n.startswith(("img.layers.0.", "img.layers.1."))}
+    x = Tensor(rng.normal(size=(64, 17, 64)).astype(np.float32))
+
+    def build_loss() -> Tensor:
+        h = x
+        for i in range(2):
+            h = _block(h, weights, f"img.layers.{i}", num_heads=4)
+        return T.mean(T.mul(h, h))
+
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            loss = build_loss()
+            backward(loss)
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(w.grad.nbytes for w in weights.values())
+    assert len(weights) == 32 and grad_bytes > 0
+    assert held <= grad_bytes + 2**20, (held, grad_bytes)
 
 
 # ---------------------------------------------------------------------------
