@@ -15,9 +15,9 @@ from .data import DatasetManifest, SyntheticShiftSpec, generate, load_pairs, loa
 from .encoder import ClipModel, TextFeatureTable, VitConfig
 from .lora import LoraConfig
 from .metrics import report_csv_rows
-from .pretrain import embed_text, pretrain
+from .pretrain import embed_text, lora_pretrain, pretrain
 from .serial import config_from_json
-from .ttt import MODES, TttConfig, lora_pretrain, run_stream
+from .ttt import MODES, TttConfig, run_stream
 
 CLI_MODES = {mode.replace("_", "-"): mode for mode in MODES}
 
@@ -180,10 +180,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # bad usage counts as a validation error; --help stays 0
         return 0 if not e.code else 1
-    try:
-        return args.fn(args)
+    try:  # a non-finite result ends in an error: line, not in numpy's warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)

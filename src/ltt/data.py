@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoder import check_positive
 from .serial import read_tensor, write_tensor
-from .ttt import Instance
+from .views import resize_bilinear
 
 SHAPES = ("circle", "square", "triangle", "cross", "ring")
 COLORS = {
@@ -148,7 +148,6 @@ class DatasetManifest:
 def _background(size: int, rng: np.random.Generator) -> np.ndarray:
     # low-frequency textured backdrop, muted so shape colors stay dominant
     low = rng.uniform(0.25, 0.75, size=(3, 4, 4)).astype(np.float32)
-    from .views import resize_bilinear
     bg = resize_bilinear(low, size, size)
     bg = 0.55 * bg + 0.45 * bg.mean(axis=0, keepdims=True)
     bg += rng.normal(0.0, 0.02, size=bg.shape).astype(np.float32)
@@ -328,6 +327,13 @@ def _read_image(root: Path, item: dict) -> np.ndarray:
     if not np.isfinite(img).all():
         raise ValueError(f"item {item['id']!r} has non-finite pixels")
     return img
+
+
+@dataclass
+class Instance:
+    id: str
+    image: np.ndarray  # raw (3,S,S) in [0,1]
+    label: int | None = None
 
 
 def load_split(data_dir, split: str, manifest: DatasetManifest | None = None) -> list[Instance]:

@@ -1,5 +1,6 @@
 """Joint contrastive pretraining of the dual encoder on the synthetic set,
-plus precomputation of the class text-feature table."""
+contrastive pre-initialization of the image adapters, and precomputation of
+the class text-feature table."""
 
 from __future__ import annotations
 
@@ -12,9 +13,10 @@ from . import tensor as T
 from .data import DatasetManifest, load_pairs, vocabulary_words
 from .encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab,
                       build_text_table, contrastive_loss)
+from .lora import AdaptedEncoder, LoraConfig
 from .optim import AdamW
-from .tensor import Tape, backward
-from .views import normalize, random_resized_crop
+from .tensor import Tape, Tensor, backward, no_grad
+from .views import normalize, random_resized_crop, resize_bilinear
 
 PRETRAIN_CROP_RANGE = (0.5, 1.0)  # milder than test-time crops: shapes are localized
 PRETRAIN_LR = 1e-3
@@ -114,6 +116,56 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
         t.requires_grad = False
         t.grad = None
     return model, losses
+
+
+def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs: int,
+                  rng: np.random.Generator, lora_cfg: LoraConfig | None = None,
+                  lr: float = 1e-4, wd: float = 0.05,
+                  batch_size: int = 64) -> tuple[AdaptedEncoder, list[float]]:
+    """Contrastive pre-initialization of the adapter weights only.
+
+    The base stays frozen; text features are precomputed since no text
+    parameter trains. Returns the adapted encoder (baseline installed)
+    and the per-batch loss trace.
+    """
+    if not pairs:
+        raise ValueError("empty image-text pair set")
+    encoder = AdaptedEncoder(model, lora_cfg or LoraConfig(), rng)
+    scale = 1.0 / model.tau
+    with no_grad():
+        # one caption per forward, unlike _encode_captions: a batched row differs
+        # in its last bits, and these rows fix the bits of the adapter checkpoint
+        caption_feats = {}
+        for _, caption in pairs:
+            if caption not in caption_feats:
+                emb = model.encode_text_batch([model.vocab.encode(caption)])
+                caption_feats[caption] = T.l2_normalize(emb, axis=-1).data[0]
+
+    size = model.vit.image_size
+    images = np.stack([normalize(resize_bilinear(img, size, size), model.norm_mean,
+                                 model.norm_std) for img, _ in pairs])
+    text_rows = np.stack([caption_feats[c] for _, c in pairs])
+    opt = AdamW(encoder.trainables, lr, wd)
+    losses: list[float] = []
+    n = len(pairs)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            if idx.size < 2:
+                continue
+            opt.zero_grad()
+            with Tape():
+                cls, _ = encoder.encode_image_batch(images[idx])
+                img_emb = T.l2_normalize(cls, axis=-1)
+                loss = contrastive_loss(img_emb, Tensor(text_rows[idx]), scale)
+                backward(loss)
+            if not np.isfinite(loss.data):
+                raise ValueError(f"non-finite loss at adapter pretraining step {len(losses) + 1}")
+            opt.step()
+            losses.append(float(loss.data))
+    encoder.set_baseline_from_current()
+    return encoder, losses
 
 
 def embed_text(checkpoint_path, class_names: list[str], templates: list[str],

@@ -36,7 +36,8 @@ def _tape_stack() -> list:
 class Tape:
     """Records how many graph nodes were created while active.
 
-    One tape per episode/step; dropping it drops the graph.
+    One tape per episode/step. The graph hangs off the tensors, not the tape,
+    and backward() frees it as it walks it.
     """
 
     def __init__(self):

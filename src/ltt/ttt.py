@@ -1,5 +1,5 @@
 """Episodic test-time training: losses, confidence selection, the episode
-loop, stream runner, baselines, and LoRA pre-initialization.
+loop and the stream runner over a split.
 
 Each test instance gets its own rng derived from (seed, instance id), its
 own adapter draw, a fresh optimizer, and a reset afterwards, so episodes
@@ -13,18 +13,19 @@ import json
 import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import (ClipModel, TextFeatureTable, classify_batch, contrastive_loss,
-                      gather_rows)
+from .data import Instance
+from .encoder import ClipModel, TextFeatureTable, classify_batch, gather_rows
 from .lora import AdaptedEncoder, LoraConfig
+from .metrics import ece as ece_metric, report_csv_rows, top1_accuracy
 from .optim import AdamW
 from .tensor import Tape, Tensor, backward, no_grad
-from .views import make_views, normalize, resize_bilinear, sample_mask
+from .views import make_views, sample_mask
 
 MODES = ("zero_shot", "lora_ttt", "lora_ttt_m", "lora_ttt_a", "full_tune")
 RECON_TARGETS = ("class_token", "visual_tokens")
@@ -76,13 +77,6 @@ class TttConfig:
 
 
 @dataclass
-class Instance:
-    id: str
-    image: np.ndarray  # raw (3,S,S) in [0,1]
-    label: int | None = None
-
-
-@dataclass
 class EpisodeResult:
     instance_id: str
     predicted: int
@@ -100,10 +94,6 @@ class EpisodeResult:
     recorded_tokens: int = 0
     masked_pass_tokens: int = 0
     wall_ms: float = 0.0
-
-    @property
-    def confidence(self) -> float:
-        return max(self.probs)
 
     def jsonl_record(self) -> dict:
         # deterministic fields only; timing stays out so reruns are byte-identical
@@ -136,29 +126,25 @@ def mem_loss(selected_probs: Tensor) -> Tensor:
 
 
 def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_target: str,
-             rng: np.random.Generator, *, unmasked_cls: Tensor | None = None,
-             unmasked_tokens: Tensor | None = None, detach_target: bool = False,
+             rng: np.random.Generator, *, unmasked: tuple | None = None,
              stats: dict | None = None) -> Tensor:
     """Reconstruction loss between masked and unmasked encodings.
 
     class_token: MSE of the projected class embeddings. visual_tokens: MSE
     over the token positions kept by the mask. One fresh mask per view; the
-    k masked views go through the encoder as one batch.
-    When the unmasked embeddings are not supplied they are computed here
-    with the same adapters (gradients flow through both branches unless
-    detach_target is set).
-
-    The default stays False so that the function on its own is the plain
-    MSE of two encodings, differentiable in both (the gradient check relies
-    on this). run_episode's combined path passes True; lora_ttt_a keeps its
-    target on the tape.
+    k masked views go through the encoder as one batch. An `unmasked`
+    (cls, tokens) pair handed in (tokens may be None for class_token) is the
+    target as fixed data, the MAE stop-gradient. Without one the views are
+    encoded here with the same adapters and gradients flow through both
+    branches: the plain MSE of two encodings, which the gradient check uses.
     """
     k = selected_views.shape[0]
     if k < 1:
         raise ValueError("mae_loss: empty selection")
     p_total = encoder.model.vit.num_patches
-    if unmasked_cls is None:
-        unmasked_cls, unmasked_tokens = encoder.encode_image_batch(selected_views)
+    detach = unmasked is not None
+    if not detach:
+        unmasked = encoder.encode_image_batch(selected_views)
         if stats is not None:
             stats["full_views"] = stats.get("full_views", 0) + k
             stats["tokens"] = stats.get("tokens", 0) + k * (1 + p_total)
@@ -173,10 +159,10 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
         stats["masked_tokens"] = stats.get("masked_tokens", 0) + keep.size
         stats["tokens"] = stats.get("tokens", 0) + keep.size
     if recon_target == "class_token":
-        pred, target = cls_m, unmasked_cls
+        pred, target = cls_m, unmasked[0]
     else:
-        pred, target = tok_m, gather_rows(unmasked_tokens, kept)
-    if detach_target:
+        pred, target = tok_m, gather_rows(unmasked[1], kept)
+    if detach:
         target = target.detach()
     # every view has the same element count, so this is the mean of the per-view MSEs
     return T.mse(pred, target)
@@ -258,15 +244,13 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
                 stats["tokens"] = stats.get("tokens", 0) + cfg.num_views * (1 + p_total)
                 l_mem = mem_loss(T.index_select(probs_t, selected, axis=0))
             if cfg.lam_mae > 0:
-                unm_cls = unm_tok = None
+                unmasked = None
                 if combined:
-                    unm_cls = T.index_select(cls_all, selected, axis=0)
-                    if cfg.recon_target == "visual_tokens":
-                        unm_tok = T.index_select(tok_all, selected, axis=0)
+                    unmasked = (T.index_select(cls_all, selected, axis=0),
+                                T.index_select(tok_all, selected, axis=0)
+                                if cfg.recon_target == "visual_tokens" else None)
                 l_mae = mae_loss(encoder, views[selected], cfg.mask_ratio,
-                                 cfg.recon_target, rng, unmasked_cls=unm_cls,
-                                 unmasked_tokens=unm_tok, detach_target=combined,
-                                 stats=stats)
+                                 cfg.recon_target, rng, unmasked=unmasked, stats=stats)
             zero = Tensor(np.zeros((), dtype=(l_mae if l_mem is None else l_mem).dtype))
             loss = total_loss(zero if l_mem is None else l_mem,
                               zero if l_mae is None else l_mae, cfg.lam_mem, cfg.lam_mae)
@@ -290,6 +274,8 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
         recorded_tokens=stats.get("tokens", 0),
         masked_pass_tokens=stats.get("masked_tokens", 0))
     encoder.reset(rng)  # episodic contract: nothing survives the instance
+    if not np.isfinite(probs).all():
+        raise ValueError(f"instance {instance.id!r}: non-finite probabilities; the step diverged")
     result.wall_ms = (time.perf_counter() - t0) * 1000.0
     return result
 
@@ -299,27 +285,20 @@ class RunReport:
     mode: str
     dataset: str
     seed: int
-    episodes: list
     top1: float
     ece: float
     mean_mem_loss: float | None
     mean_mae_loss: float | None
     trainable_params: int
     median_episode_ms: float
+    num_instances: int
     reset_events: int
+    episodes: list  # the one field that report.json leaves out
 
     def report_json(self) -> dict:
-        return {
-            "mode": self.mode, "dataset": self.dataset, "seed": self.seed,
-            "top1": self.top1, "ece": self.ece,
-            "mean_mem_loss": self.mean_mem_loss, "mean_mae_loss": self.mean_mae_loss,
-            "trainable_params": self.trainable_params,
-            "median_episode_ms": self.median_episode_ms,
-            "num_instances": len(self.episodes), "reset_events": self.reset_events,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "episodes"}
 
     def write_outputs(self, outdir):
-        from .metrics import report_csv_rows
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.json", "w") as f:
@@ -336,7 +315,6 @@ def run_stream(items: list[Instance], model: ClipModel, table: TextFeatureTable,
                cfg: TttConfig, dataset_name: str = "test",
                adapters_path=None) -> RunReport:
     """Episodes over a split, each seeded by (seed, instance id)."""
-    from .metrics import ece as ece_metric, top1_accuracy
     if not items:
         raise ValueError("empty dataset split")
     encoder = build_encoder_for_mode(model, cfg)
@@ -349,62 +327,17 @@ def run_stream(items: list[Instance], model: ClipModel, table: TextFeatureTable,
 
     labeled = [(ep.predicted, ep.label) for ep in episodes if ep.label is not None]
     top1 = top1_accuracy([p for p, _ in labeled], [l for _, l in labeled]) if labeled else 0.0
-    confs = [ep.confidence for ep in episodes if ep.label is not None]
+    confs = [max(ep.probs) for ep in episodes if ep.label is not None]
     correct = [ep.predicted == ep.label for ep in episodes if ep.label is not None]
     ece_val = ece_metric(confs, correct).ece if confs else 0.0
     mem_vals = [ep.mem_loss for ep in episodes if ep.mem_loss is not None]
     mae_vals = [ep.mae_loss for ep in episodes if ep.mae_loss is not None]
     return RunReport(
-        mode=cfg.mode, dataset=dataset_name, seed=cfg.seed, episodes=episodes,
-        top1=top1, ece=ece_val,
+        mode=cfg.mode, dataset=dataset_name, seed=cfg.seed, top1=top1, ece=ece_val,
         mean_mem_loss=float(np.mean(mem_vals)) if mem_vals else None,
         mean_mae_loss=float(np.mean(mae_vals)) if mae_vals else None,
         trainable_params=episodes[0].trainable_params,
         median_episode_ms=float(np.median([ep.wall_ms for ep in episodes])),
-        reset_events=len(episodes) if cfg.steps else 0)
+        num_instances=len(episodes), reset_events=len(episodes) if cfg.steps else 0,
+        episodes=episodes)
 
-
-def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs: int,
-                  rng: np.random.Generator, lora_cfg: LoraConfig | None = None,
-                  lr: float = 1e-4, wd: float = 0.05,
-                  batch_size: int = 64) -> tuple[AdaptedEncoder, list[float]]:
-    """Contrastive pre-initialization of the adapter weights only.
-
-    The base stays frozen; text features are precomputed since no text
-    parameter trains. Returns the adapted encoder (baseline installed)
-    and the per-batch loss trace.
-    """
-    if not pairs:
-        raise ValueError("empty image-text pair set")
-    encoder = AdaptedEncoder(model, lora_cfg or LoraConfig(), rng)
-    scale = 1.0 / model.tau
-    with no_grad():
-        caption_feats = {}
-        for _, caption in pairs:
-            if caption not in caption_feats:
-                emb = model.encode_text_batch([model.vocab.encode(caption)])
-                caption_feats[caption] = T.l2_normalize(emb, axis=-1).data[0]
-
-    size = model.vit.image_size
-    images = np.stack([normalize(resize_bilinear(img, size, size), model.norm_mean,
-                                 model.norm_std) for img, _ in pairs])
-    text_rows = np.stack([caption_feats[c] for _, c in pairs])
-    opt = AdamW(encoder.trainables, lr, wd)
-    losses: list[float] = []
-    n = len(pairs)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            if idx.size < 2:
-                continue
-            opt.zero_grad()
-            with Tape():
-                cls, _ = encoder.encode_image_batch(images[idx])
-                img_emb = T.l2_normalize(cls, axis=-1)
-                loss = contrastive_loss(img_emb, Tensor(text_rows[idx]), scale)
-                backward(loss)
-            opt.step()
-            losses.append(float(loss.data))
-    encoder.set_baseline_from_current()
-    return encoder, losses

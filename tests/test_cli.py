@@ -170,6 +170,37 @@ def test_run_rejects_non_finite_image(workspace, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def run_with_config(workspace, out, config, mode="lora-ttt"):
+    (out.parent / "ttt.json").write_text(json.dumps(config))
+    return main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"), "--data", str(workspace / "data"),
+                 "--mode", mode, "--config", str(out.parent / "ttt.json"), "--out", str(out)])
+
+
+def test_run_with_a_diverging_step_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_with_config(workspace, out, {"lr": 1e30, "num_views": 8}) == 1
+    assert_one_error(capsys, "non-finite probabilities")
+    assert not out.exists()
+
+
+def test_run_with_a_size_too_large_to_allocate_exits_1(workspace, tmp_path, capsys):
+    # numpy refuses the 10.9 PiB view stack at once, so nothing is allocated
+    out = tmp_path / "run"
+    assert run_with_config(workspace, out, {"num_views": 10**12}) == 1
+    assert_one_error(capsys, "error: out of memory: ")
+    assert not out.exists()
+
+
+def test_lora_pretrain_that_diverges_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "adapters.lttw"
+    assert main(["lora-pretrain", "--ckpt", str(workspace / "model.lttw"),
+                 "--data", str(workspace / "data"), "--epochs", "2", "--lr", "1e30",
+                 "--out", str(out)]) == 1
+    assert_one_error(capsys, "non-finite loss at adapter pretraining step 2")
+    assert not out.exists()
+
+
 def test_embed_text_rejects_oversized_checkpoint_tensor(tmp_path, capsys):
     # 32 bytes: one record whose tensor declares (2**32-1)**3 float32 elements
     ckpt = tmp_path / "huge.lttw"

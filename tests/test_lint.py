@@ -65,3 +65,15 @@ def test_no_unused_locals(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = [f"{name} (line {line})" for name, line in unused_locals(tree)]
     assert not unused, f"{path.name} assigns locals it never reads: {', '.join(unused)}"
+
+
+def imported_modules(tree: ast.Module) -> set:
+    """The package-relative modules a module imports from, nested imports too."""
+    return {"." * node.level + (node.module or "") for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)}
+
+
+def test_data_does_not_import_the_episode_stack():
+    # building an Instance must not pull in the episode, optimizer and adapters
+    tree = ast.parse((SRC / "data.py").read_text())
+    assert not {".ttt", "ltt.ttt"} & imported_modules(tree)

@@ -6,12 +6,14 @@ import pytest
 
 from ltt import tensor as T
 from ltt import ttt
+from ltt.data import Instance
 from ltt.encoder import build_text_table, classify_batch
 from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash
+from ltt.pretrain import lora_pretrain
 from ltt.serial import config_from_json
-from ltt.tensor import Tensor, no_grad
-from ltt.ttt import (EpisodeResult, Instance, TttConfig,
-                     build_encoder_for_mode, entropy_np, episode_rng, lora_pretrain,
+from ltt.tensor import Tape, Tensor, backward, no_grad
+from ltt.ttt import (EpisodeResult, TttConfig,
+                     build_encoder_for_mode, entropy_np, episode_rng,
                      mae_loss, mem_loss, run_episode, run_stream, select_confident,
                      total_loss)
 from ltt.views import make_views, normalize, sample_mask
@@ -195,6 +197,21 @@ def test_mae_loss_is_mean_of_per_view_mses(setup, target):
     assert loss == pytest.approx(np.mean(terms), rel=1e-6)
 
 
+@pytest.mark.parametrize("target", ["class_token", "visual_tokens"])
+def test_mae_loss_stops_the_gradient_at_a_handed_in_target(setup, target):
+    model, _, items = setup
+    adapted = nonzero_adapters(model)
+    views = np.stack([normalize(it.image, model.norm_mean, model.norm_std)
+                      for it in items[:3]])
+    with Tape():
+        cls, tok = (Tensor(t.data.copy(), requires_grad=True)
+                    for t in adapted.encode_image_batch(views))
+        backward(mae_loss(adapted, views, 0.5, target, np.random.default_rng(9),
+                          unmasked=(cls, tok)))
+    assert cls.grad is None and tok.grad is None
+    assert any(np.any(t.grad != 0) for t in adapted.trainables.values() if t.grad is not None)
+
+
 def test_mae_loss_empty_selection(setup):
     model, _, _ = setup
     adapted = AdaptedEncoder(model, LoraConfig(rank=2), np.random.default_rng(0))
@@ -340,8 +357,8 @@ def test_combined_path_detaches_target(setup, monkeypatch):
     default = post_step_b(model, table, items[4], small_cfg())
     assert any(np.any(b != 0) for b in default)
 
-    def tracked_mae_loss(*args, **kw):
-        return mae_loss(*args, **{**kw, "detach_target": False})
+    def tracked_mae_loss(*args, **kw):  # no target handed in: mae_loss encodes its own
+        return mae_loss(*args, **{**kw, "unmasked": None})
 
     monkeypatch.setattr(ttt, "mae_loss", tracked_mae_loss)
     tracked = post_step_b(model, table, items[4], small_cfg())
@@ -354,12 +371,46 @@ def test_lora_ttt_a_keeps_target_on_tape(setup, monkeypatch):
     default = post_step_b(model, table, items[4], cfg)
     assert any(np.any(b != 0) for b in default)
 
-    def detached_mae_loss(*args, **kw):
-        return mae_loss(*args, **{**kw, "detach_target": True})
+    def detached_mae_loss(encoder, views, *args, **kw):  # hand in the views' own encodings
+        return mae_loss(encoder, views, *args,
+                        **{**kw, "unmasked": encoder.encode_image_batch(views)})
 
     monkeypatch.setattr(ttt, "mae_loss", detached_mae_loss)
     detached = post_step_b(model, table, items[4], cfg)
     assert not all(np.array_equal(x, y) for x, y in zip(default, detached))
+
+
+@pytest.mark.parametrize("target", ["class_token", "visual_tokens"])
+@pytest.mark.parametrize("mode, handed", [("lora_ttt", True), ("full_tune", True),
+                                          ("lora_ttt_a", False)])
+def test_run_episode_hands_mae_loss_the_tracked_rows_as_target(setup, monkeypatch, mode,
+                                                               handed, target):
+    model, table, items = setup
+    seen = []
+
+    def spy(*args, **kw):
+        seen.append(kw["unmasked"])
+        return mae_loss(*args, **kw)
+
+    monkeypatch.setattr(ttt, "mae_loss", spy)
+    cfg = small_cfg(mode=mode, recon_target=target)
+    run_episode(items[4], build_encoder_for_mode(model, cfg), table, cfg,
+                episode_rng(cfg.seed, items[4].id))
+    assert len(seen) == 1 and (seen[0] is not None) == handed
+    if handed:
+        cls, tok = seen[0]
+        assert cls.shape[0] == max(1, int(cfg.cutoff * cfg.num_views))
+        assert (tok is None) == (target == "class_token")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the step overflows
+def test_diverged_episode_raises_naming_the_instance_and_resets(setup):
+    model, table, items = setup
+    cfg = small_cfg(lr=1e30)
+    encoder = build_encoder_for_mode(model, cfg)
+    with pytest.raises(ValueError, match=f"{items[0].id}.*non-finite"):
+        run_episode(items[0], encoder, table, cfg, episode_rng(cfg.seed, items[0].id))
+    assert all(np.all(ad.b.data == 0) for ad in encoder.adapters.values())
 
 
 def test_visual_tokens_target_episode(setup):
@@ -464,6 +515,19 @@ def test_stream_rejects_empty_split(setup):
         run_stream([], model, table, small_cfg())
 
 
+REPORT_KEYS = ["mode", "dataset", "seed", "top1", "ece", "mean_mem_loss", "mean_mae_loss",
+               "trainable_params", "median_episode_ms", "num_instances", "reset_events"]
+
+
+def test_report_json_lists_every_field_but_the_episodes(setup, tmp_path):
+    model, table, items = setup
+    report = run_stream(items[:3], model, table, small_cfg())
+    assert list(report.report_json()) == REPORT_KEYS
+    assert report.report_json()["num_instances"] == 3
+    report.write_outputs(tmp_path)
+    assert list(json.loads((tmp_path / "report.json").read_text())) == REPORT_KEYS
+
+
 def test_stream_outputs_files(setup, tmp_path):
     model, table, items = setup
     report = run_stream(items[:4], model, table, small_cfg())
@@ -537,6 +601,16 @@ def test_lora_pretrain_checkpoint_usable_in_stream(setup, tmp_path):
     with pytest.raises(ValueError, match="lora mode"):
         run_stream(items[:2], model, table, TttConfig(mode="zero_shot"),
                    adapters_path=path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the step overflows
+def test_lora_pretrain_raises_at_the_first_non_finite_loss(setup):
+    model, _, items = setup
+    pairs = [(it.image, ["a photo of a red circle", "a photo of a blue square"][i % 2])
+             for i, it in enumerate(items[:8])]
+    with pytest.raises(ValueError, match="non-finite loss at adapter pretraining step 2$"):
+        lora_pretrain(model, pairs, 2, np.random.default_rng(0), LoraConfig(rank=2),
+                      lr=1e30, batch_size=8)
 
 
 def test_lora_pretrain_empty_pairs(setup):

@@ -2,11 +2,13 @@
 
 Drives `ltt.cli.main` in-process on a small generated workspace and hashes:
 a tiny and a default-size pretrained checkpoint with their text tables, the
-`lora-pretrain` `adapters.lttw`, `episodes.jsonl` for every mode x recon
-target x steps {1, 2} on the tiny model, a lora-ttt run that loads the
-adapters, and three modes at the default episode settings on the
-default-size model.
-Two source trees that print the same JSON write the same bytes.
+`lora-pretrain` `adapters.lttw`, and the outputs of every `run`: every
+mode x recon target x steps {1, 2} on the tiny model, a lora-ttt run that
+loads the adapters, and three modes at the default episode settings on the
+default-size model. A run contributes `episodes.jsonl` and `report.json`,
+the latter without `median_episode_ms`, its one timing.
+Two source trees that print the same JSON write the same bytes, up to that
+timing.
 
     python tools/output_digests.py                   # this tree's src/
     python tools/output_digests.py --src OTHER/src   # another checkout
@@ -38,6 +40,13 @@ SPEC = {"num_classes": 4, "train_per_class": 16, "test_per_class": 3,
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def report_sha256(path: Path) -> str:
+    """sha256 of `report.json` as written, less its wall-clock field."""
+    report = json.loads(path.read_text())
+    del report["median_episode_ms"]
+    return hashlib.sha256((json.dumps(report, indent=2) + "\n").encode()).hexdigest()
 
 
 def digests(work: Path) -> dict:
@@ -73,6 +82,7 @@ def digests(work: Path) -> dict:
             "--config", write_json(f"{name}.json", ttt_cfg), "--seed", 0,
             "--split", "test_gaussian_noise", "--out", run_dir, *extra)
         out[f"{name}/episodes.jsonl"] = sha256(run_dir / "episodes.jsonl")
+        out[f"{name}/report.json"] = report_sha256(run_dir / "report.json")
 
     model, table = pretrain("tiny", TINY_MODEL, 2)
     adapters = work / "adapters.lttw"
