@@ -4,7 +4,6 @@ run, report. Exit codes: 0 ok, 1 validation error, 2 I/O error."""
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ from .lora import LoraConfig
 from .metrics import report_csv_rows
 from .pretrain import embed_text, lora_pretrain, pretrain
 from .serial import config_from_json
+from .tensor import _keep_freed_memory
 from .ttt import MODES, TttConfig, run_stream
 
 CLI_MODES = {mode.replace("_", "-"): mode for mode in MODES}
@@ -163,14 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out")
     m.set_defaults(fn=cmd_report)
     return ap
-
-
-def _keep_freed_memory():
-    """Keep freed memory in the heap (glibc; a no-op elsewhere): each episode or step
-    frees and reallocates tens of MB, and a trimmed heap faults every page in again."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
-    if mallopt and mallopt(-3, 1 << 25):  # M_MMAP_THRESHOLD: arrays below 32 MB use the heap
-        mallopt(-1, 1 << 28)  # M_TRIM_THRESHOLD: hand back the heap top only past 256 MB
 
 
 def main(argv=None) -> int:

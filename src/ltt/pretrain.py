@@ -15,7 +15,7 @@ from .encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab,
                       build_text_table, contrastive_loss)
 from .lora import AdaptedEncoder, LoraConfig
 from .optim import AdamW
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import Tape, Tensor, _keep_freed_memory, backward, no_grad
 from .views import normalize, random_resized_crop, resize_bilinear
 
 PRETRAIN_CROP_RANGE = (0.5, 1.0)  # milder than test-time crops: shapes are localized
@@ -48,6 +48,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     views stay in-distribution. Returns the trained (frozen) model and the
     per-step loss trace.
     """
+    _keep_freed_memory()
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
     pairs = load_pairs(root, "train", manifest)
@@ -145,6 +146,11 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
     images = np.stack([normalize(resize_bilinear(img, size, size), model.norm_mean,
                                  model.norm_std) for img, _ in pairs])
     text_rows = np.stack([caption_feats[c] for _, c in pairs])
+
+    def batch_loss(idx: np.ndarray) -> Tensor:
+        cls, _ = encoder.encode_image_batch(images[idx])
+        return contrastive_loss(T.l2_normalize(cls, axis=-1), Tensor(text_rows[idx]), scale)
+
     opt = AdamW(encoder.trainables, lr, wd)
     losses: list[float] = []
     n = len(pairs)
@@ -156,14 +162,16 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
                 continue
             opt.zero_grad()
             with Tape():
-                cls, _ = encoder.encode_image_batch(images[idx])
-                img_emb = T.l2_normalize(cls, axis=-1)
-                loss = contrastive_loss(img_emb, Tensor(text_rows[idx]), scale)
+                loss = batch_loss(idx)
                 backward(loss)
             if not np.isfinite(loss.data):
                 raise ValueError(f"non-finite loss at adapter pretraining step {len(losses) + 1}")
             opt.step()
             losses.append(float(loss.data))
+    if losses:  # each step checks the loss it starts from; this checks the last update
+        with no_grad():  # on the first batch of the last epoch, which a step trained on
+            if not np.isfinite(batch_loss(order[:batch_size]).data):
+                raise ValueError(f"non-finite loss after adapter pretraining step {len(losses)}")
     encoder.set_baseline_from_current()
     return encoder, losses
 

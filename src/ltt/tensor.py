@@ -1,13 +1,15 @@
 """Dense tensors with reverse-mode autodiff on a per-episode tape.
 
-Every op is a plain function returning a new Tensor. When a Tape is active
-and an input is grad-tracked, the result remembers its parents and a
-backward closure; backward() walks the graph in reverse topological order and
-frees it as it goes. Outside a tape (or under no_grad) ops are pure numpy forwards.
+Every op is a plain function returning a new Tensor. When a Tape is active and
+an input is grad-tracked, the result gets a graph node whose closure holds only
+the arrays its gradient reads; backward() walks the nodes in reverse topological
+order and frees them as it goes. Outside a tape (or under no_grad) ops are pure numpy forwards.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +20,7 @@ FLOAT_DTYPES = (np.float32, np.float64)
 GELU_K0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_K1 = 0.044715
 LAYERNORM_EPS = 1e-5
+GELU_BLOCK = 1 << 16  # elements per slope block: gelu's temporaries stay this size
 
 
 class ShapeError(ValueError):
@@ -69,8 +72,29 @@ def active_tape() -> Optional[Tape]:
     return stack[-1] if stack else None
 
 
+def _keep_freed_memory():
+    """Keep freed memory in the heap (glibc; a no-op elsewhere): each episode or step
+    frees and reallocates tens of MB, and a trimmed heap faults every page in again."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt and mallopt(-3, 1 << 25):  # M_MMAP_THRESHOLD: arrays below 32 MB use the heap
+        mallopt(-1, 1 << 28)  # M_TRIM_THRESHOLD: hand back the heap top only past 256 MB
+
+
+class _Node:
+    """A recorded op: closure, parents, incoming gradient, output shape and dtype."""
+
+    __slots__ = ("backward", "parents", "grad", "shape", "dtype")
+
+    def __init__(self, backward: Callable, parents: tuple, out: np.ndarray):
+        self.backward, self.parents, self.grad = backward, parents, None
+        self.shape, self.dtype = out.shape, out.dtype  # not the array itself
+
+    def _tracked(self) -> bool:
+        return self.backward is not None  # a walked node is spent
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -81,8 +105,7 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward: Optional[Callable] = None
+        self._node: Optional[_Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -103,7 +126,13 @@ class Tensor:
         return Tensor(self.data)
 
     def _tracked(self) -> bool:
-        return self.requires_grad or self._backward is not None
+        return self.requires_grad or (self._node is not None and self._node._tracked())
+
+    def _graph_ref(self):
+        """What a node records for this input: its live node, itself as a leaf, or None."""
+        if self._node is not None and self._node._tracked():
+            return self._node
+        return self if self.requires_grad else None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
@@ -119,8 +148,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
     out = Tensor(data)
     tape = active_tape()
     if tape is not None and any(p._tracked() for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(backward, tuple(p._graph_ref() for p in parents), out.data)
         tape.num_nodes += 1
     return out
 
@@ -145,7 +173,7 @@ def _check_same_dtype(op: str, a: Tensor, b: Tensor):
 # primitives
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor | float) -> Tensor:
     b = _coerce(b, a)
     _check_same_dtype("add", a, b)
     try:
@@ -153,15 +181,16 @@ def add(a: Tensor, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     need_a, need_b = a._tracked(), b._tracked()
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(g, b.shape) if need_b else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None)
 
     return _make(data, (a, b), backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
     b = _coerce(b, a)
     _check_same_dtype("mul", a, b)
     try:
@@ -169,10 +198,12 @@ def mul(a: Tensor, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     need_a, need_b = a._tracked(), b._tracked()
+    a_shape, b_shape = a.shape, b.shape
+    a_data, b_data = (a.data if need_b else None), (b.data if need_a else None)
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.shape) if need_a else None,
-                _unbroadcast(g * a.data, b.shape) if need_b else None)
+        return (_unbroadcast(g * b_data, a_shape) if need_a else None,
+                _unbroadcast(g * a_data, b_shape) if need_b else None)
 
     return _make(data, (a, b), backward)
 
@@ -185,10 +216,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     data = a.data @ b.data
     need_a, need_b = a._tracked(), b._tracked()
+    a_shape, b_shape = a.shape, b.shape
+    a_data, b_data = (a.data if need_b else None), (b.data if need_a else None)
 
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if need_a else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if need_b else None
+        ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape) if need_a else None
+        gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape) if need_b else None
         return ga, gb
 
     return _make(data, (a, b), backward)
@@ -205,11 +238,13 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if b is not None:
         data += b.data
     need_x, need_w, need_b = x._tracked(), w._tracked(), b is not None and b._tracked()
+    x_data, w_data = (x.data if need_w else None), (w.data if need_x else None)
+    wt_shape, b_shape = w.shape[::-1], None if b is None else b.shape
 
     def backward(g):
-        gx = g @ w.data if need_x else None
-        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape[::-1]).T if need_w else None
-        return gx, gw, _unbroadcast(g, b.shape) if need_b else None
+        gx = g @ w_data if need_x else None
+        gw = _unbroadcast(np.swapaxes(x_data, -1, -2) @ g, wt_shape).T if need_w else None
+        return gx, gw, _unbroadcast(g, b_shape) if need_b else None
 
     return _make(data, (x, w) if b is None else (x, w, b), backward)
 
@@ -217,22 +252,24 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.shape[axis]
+    shape = a.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     return _make(data, (a,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(data, (a,), backward)
 
@@ -262,9 +299,10 @@ def index_select(a: Tensor, indices, axis: int = 0) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
         raise ShapeError(f"index_select: index out of range for axis {axis} of {a.shape}")
     data = np.take(a.data, idx, axis=axis)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        buf = np.zeros(a.shape, dtype=a.data.dtype)
+        buf = np.zeros(shape, dtype=dtype)
         moved = np.moveaxis(buf, axis, 0)
         np.add.at(moved, idx, np.moveaxis(g, axis, 0))
         return (buf,)
@@ -277,9 +315,10 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice: [{start}:{stop}] invalid for axis {axis} of {a.shape}")
     sl = tuple(slice(start, stop) if i == axis else slice(None) for i in range(a.ndim))
     data = a.data[sl].copy()
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        buf = np.zeros(a.shape, dtype=a.data.dtype)
+        buf = np.zeros(shape, dtype=dtype)
         buf[sl] = g
         return (buf,)
 
@@ -288,9 +327,10 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
+    a_shape = a.shape
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _make(data, (a,), backward)
 
@@ -312,9 +352,10 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
         data = np.broadcast_to(a.data, shape).copy()
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}")
+    a_shape = a.shape
 
     def backward(g):
-        return (_unbroadcast(g, a.shape),)
+        return (_unbroadcast(g, a_shape),)
 
     return _make(data, (a,), backward)
 
@@ -331,25 +372,25 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
     data = x * 0.5
     data *= t + 1.0
+    slope = _gelu_slope(x, t) if active_tape() is not None and a._tracked() else None
 
     def backward(g):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x^2)), two buffers
-        half = x * 0.5
-        slope = np.multiply(t, t)
-        np.subtract(1.0, slope, out=slope)
-        half *= slope
-        np.multiply(x, x, out=slope)
-        slope *= 3.0 * GELU_K1
-        slope += 1.0
-        slope *= GELU_K0
-        slope *= half
-        dgdx = np.add(t, 1.0, out=half)
-        dgdx *= 0.5
-        dgdx += slope
-        dgdx *= g
-        return (dgdx,)
+        # backward runs a closure once, so the slope can become the gradient
+        return (np.multiply(slope, g, out=slope),)
 
     return _make(data, (a,), backward)
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu/dx from x and the forward's tanh t, one block of elements at a time."""
+    slope = np.empty_like(t)
+    xs, ts, ss = x.reshape(-1), t.reshape(-1), slope.reshape(-1)
+    for i in range(0, ss.size, GELU_BLOCK):
+        xb, tb = xs[i:i + GELU_BLOCK], ts[i:i + GELU_BLOCK]
+        half = xb * 0.5 * (1.0 - tb * tb)
+        ss[i:i + GELU_BLOCK] = ((xb * xb * (3.0 * GELU_K1) + 1.0) * GELU_K0 * half
+                               + (tb + 1.0) * 0.5)
+    return slope
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
@@ -368,10 +409,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EP
     data = np.multiply(xhat, gamma.data, out=buf)
     data += beta.data
     need_gamma, need_beta = gamma._tracked(), beta._tracked()
+    gamma_data = gamma.data
 
     def backward(g):
         # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
-        dx = g * gamma.data
+        dx = g * gamma_data
         tmp = dx * xhat
         xhat_dot = tmp.mean(axis=-1, keepdims=True)
         dx -= dx.mean(axis=-1, keepdims=True)
@@ -450,7 +492,7 @@ def entropy(p: Tensor) -> Tensor:
     data = np.asarray(-(x * logs).sum(), dtype=x.dtype)
 
     def backward(g):
-        grad = np.zeros_like(x)
+        grad = np.zeros_like(logs)
         grad[mask] = -(logs[mask] + 1.0)
         return (float(g) * grad,)
 
@@ -473,15 +515,15 @@ def exp(a: Tensor) -> Tensor:
 def backward(loss: Tensor):
     """Populate .grad on every tracked leaf reachable from `loss` and consume the
     graph: a node's grad, closure and parents are released once its closure has
-    run, so activations are freed as the walk goes and a second walk raises."""
+    run, so the arrays it holds are freed as the walk goes and a second walk raises."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._backward is None:
+    if loss._node is None or not loss._node._tracked():
         raise ShapeError("backward: loss has no graph (untracked, or already walked)")
 
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(loss._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -491,24 +533,22 @@ def backward(loss: Tensor):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in node.parents:  # leaves, untracked inputs and walked nodes end the walk
+            if type(p) is _Node and p._tracked() and id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    loss._node.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        closure, g_out, parents = node._backward, node.grad, node._parents
-        if closure is None:  # a leaf keeps its .grad
-            continue
-        node.grad, node._backward, node._parents = None, None, ()
+        closure, g_out, parents = node.backward, node.grad, node.parents
+        node.grad, node.backward, node.parents = None, None, ()
         if g_out is None:
             continue
         grads = closure(g_out)
         for parent, raw in zip(parents, grads):
-            if raw is None or not parent._tracked():
+            if raw is None or parent is None or not parent._tracked():
                 continue
-            g = np.asarray(raw, dtype=parent.data.dtype)
+            g = np.asarray(raw, dtype=parent.dtype)
             if g.shape != parent.shape:
                 g = g.reshape(parent.shape)
             if parent.grad is not None:

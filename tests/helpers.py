@@ -39,11 +39,12 @@ def analytic_grad(loss_builder, leaves: list[Tensor]) -> list[np.ndarray]:
 
 def reference_backward(loss: Tensor):
     """The walk `backward` must match bit for bit: the same reverse
-    topological order, but every first gradient is copied and the graph is
-    kept whole."""
-    topo: list[Tensor] = []
+    topological order over the graph nodes, but every first gradient is
+    copied and the graph is kept whole. A node's parents are nodes, tracked
+    leaf tensors (which end the walk) or None for an untracked input."""
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple] = [(loss._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -53,19 +54,19 @@ def reference_backward(loss: Tensor):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in node.parents:
+            if p is not None and not isinstance(p, Tensor) and id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    loss._node.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+        if node.backward is None or node.grad is None:
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent._tracked():
+        grads = node.backward(node.grad)
+        for parent, g in zip(node.parents, grads):
+            if g is None or parent is None or not parent._tracked():
                 continue
-            g = np.asarray(g, dtype=parent.data.dtype).reshape(parent.shape)
+            g = np.asarray(g, dtype=parent.dtype).reshape(parent.shape)
             if parent.grad is None:
                 parent.grad = g.copy()
             else:

@@ -201,6 +201,16 @@ def test_lora_pretrain_that_diverges_exits_1(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lr", ["1e30", "3e38"])
+def test_lora_pretrain_whose_last_step_diverges_exits_1(workspace, tmp_path, capsys, lr):
+    # 64 pairs are one batch: the one step's loss is finite, its update is not
+    out = tmp_path / "adapters.lttw"
+    assert main(["lora-pretrain", "--ckpt", str(workspace / "model.lttw"),
+                 "--data", str(workspace / "data"), "--lr", lr, "--out", str(out)]) == 1
+    assert_one_error(capsys, "non-finite loss after adapter pretraining step 1")
+    assert not out.exists()
+
+
 def test_embed_text_rejects_oversized_checkpoint_tensor(tmp_path, capsys):
     # 32 bytes: one record whose tensor declares (2**32-1)**3 float32 elements
     ckpt = tmp_path / "huge.lttw"

@@ -77,3 +77,43 @@ def test_data_does_not_import_the_episode_stack():
     # building an Instance must not pull in the episode, optimizer and adapters
     tree = ast.parse((SRC / "data.py").read_text())
     assert not {".ttt", "ltt.ttt"} & imported_modules(tree)
+
+
+def closure_tensor_reads(tree: ast.Module):
+    """(op, name, line) for each read, inside an op's nested `backward`, of an op
+    parameter annotated as a Tensor. Such a read keeps the whole input, its array
+    included, alive until backward; arrays or shapes taken from it are fine."""
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+        tensors = {a.arg for a in args
+                   if a.annotation is not None and "Tensor" in ast.unparse(a.annotation)}
+        for inner in ast.walk(fn):
+            if isinstance(inner, ast.FunctionDef) and inner is not fn and inner.name == "backward":
+                for node in ast.walk(inner):
+                    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                            and node.id in tensors):
+                        yield fn.name, node.id, node.lineno
+
+
+def test_backward_closures_read_no_op_tensor():
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    closures = [fn for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "backward"
+                and fn not in tree.body]
+    assert len(closures) >= 20  # every op defines one
+    found = [f"{op} reads {name} (line {line})" for op, name, line in closure_tensor_reads(tree)]
+    assert not found, "backward closures hold whole input tensors: " + ", ".join(found)
+
+
+def test_closure_check_flags_a_tensor_read_and_passes_its_array():
+    pinned = ast.parse("def mul(a: Tensor, b: 'Tensor | float'):\n"
+                       "    def backward(g):\n"
+                       "        return g * b.data\n")
+    lean = ast.parse("def mul(a: Tensor, b: 'Tensor | float', axis: int = 0):\n"
+                     "    b_data = b.data\n"
+                     "    def backward(g):\n"
+                     "        return (g * b_data).sum(axis)\n")
+    assert list(closure_tensor_reads(pinned)) == [("mul", "b", 3)]
+    assert list(closure_tensor_reads(lean)) == []

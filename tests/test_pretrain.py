@@ -1,4 +1,5 @@
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,3 +103,28 @@ def test_embed_text_rejects_oov(mini_data, tmp_path):
     with pytest.raises(ValueError, match="unknown token"):
         embed_text(path, ["flying saucer"], ["a photo of a {class}"],
                    tmp_path / "x.lttc")
+
+
+def test_a_default_pretraining_batch_allocates_at_most_30_mb(mini_data, monkeypatch):
+    # traced from the batch's crop to its logit-scale clamp, as perfbench's unit;
+    # 41.8 MB while every recorded tensor kept its parents' arrays until backward
+    peaks = []
+    crop, clamp = ltt.pretrain.random_resized_crop, ClipModel.clamp_logit_scale
+
+    def traced_crop(*args):
+        tracemalloc.start()
+        return crop(*args)
+
+    def traced_clamp(self):
+        clamp(self)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+    monkeypatch.setattr(ltt.pretrain, "random_resized_crop", traced_crop)
+    monkeypatch.setattr(ClipModel, "clamp_logit_scale", traced_clamp)
+    try:
+        _, losses = pretrain(mini_data[0], VitConfig(), epochs=1, seed=0, batch_size=64)
+    finally:
+        tracemalloc.stop()
+    assert len(losses) == len(peaks) == 1
+    assert peaks[0] <= 30e6, peaks

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -117,11 +118,11 @@ def test_backward_deterministic():
 def test_no_recording_outside_tape():
     x = t([1.0, 2.0], grad=True)
     y = T.mul(x, x)
-    assert y._backward is None
+    assert y._node is None
     with Tape() as tape:
         with no_grad():
             z = T.mul(x, x)
-        assert z._backward is None
+        assert z._node is None
         assert tape.num_nodes == 0
         T.mul(x, x)
         assert tape.num_nodes == 1
@@ -209,6 +210,25 @@ def test_kernels_match_plain_expressions_bitexact(name, dtype):
             assert same_bits(leaf.grad, want)
 
 
+@pytest.mark.parametrize("tracked", [True, False])
+@pytest.mark.parametrize("size", [T.GELU_BLOCK - 1, T.GELU_BLOCK, T.GELU_BLOCK + 1,
+                                  2 * T.GELU_BLOCK + 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_slope_blocks_keep_the_bits_of_the_plain_expression(dtype, size, tracked):
+    rng = np.random.default_rng(size)
+    x = rng.normal(0, 3.0, size).astype(dtype)
+    g = rng.normal(size=size).astype(dtype)
+    leaf = Tensor(x.copy(), requires_grad=tracked)
+    with Tape():
+        y = T.gelu(leaf)
+        assert (y._node is not None) == tracked
+        if tracked:
+            backward(T.tsum(T.mul(y, Tensor(g))))
+    want_y, (want_grad,) = gelu_expr(x, g)
+    assert same_bits(y.data, want_y)
+    assert same_bits(leaf.grad, want_grad) if tracked else leaf.grad is None
+
+
 def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
     rng = np.random.default_rng(23)
     shapes = {"x": (4, 17, 32), "w": (24, 32), "b": (24,), "gamma": (24,), "beta": (24,),
@@ -223,9 +243,10 @@ def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
             nodes.append(T.mul(T.gelu(nodes[-1]), leaves["c"]))
             nodes.append(T.add(nodes[-1], leaves["c"]))
             nodes.append(T.mul(nodes[-1], 0.5))  # a scalar constant
-            for node in nodes:  # each closure skips exactly its untracked parents
-                grads = node._backward(np.ones_like(node.data))
-                assert [g is not None for g in grads] == [p._tracked() for p in node._parents]
+            for out in nodes:  # each closure skips exactly its untracked parents
+                grads = out._node.backward(np.ones_like(out.data))
+                assert [g is not None for g in grads] == [p is not None and p._tracked()
+                                                          for p in out._node.parents]
             backward(T.tsum(nodes[-1]))
         return {k: leaf.grad for k, leaf in leaves.items()}
 
@@ -241,13 +262,15 @@ def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
 
 
 def graph_nodes(loss: Tensor) -> list:
-    nodes, stack, seen = [], [loss], set()
+    """Every node and tracked leaf reachable from the loss's node."""
+    nodes, stack, seen = [], [loss._node], set()
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
+        if node is not None and id(node) not in seen:
             seen.add(id(node))
             nodes.append(node)
-            stack.extend(node._parents)
+            if not isinstance(node, Tensor):
+                stack.extend(node.parents)
     return nodes
 
 
@@ -259,18 +282,68 @@ def test_backward_frees_interior_nodes_and_a_second_walk_raises():
         h = T.gelu(T.linear(x, w, b))
         loss = T.tsum(T.mul(T.softmax(h), T.add(h, h)))
         nodes = graph_nodes(loss)
-        interior = [n for n in nodes if n._backward is not None]
+        interior = [n for n in nodes if not isinstance(n, Tensor)]
+        assert all(n.backward is not None for n in interior)
+        assert {id(n) for n in nodes if isinstance(n, Tensor)} == {id(x), id(w), id(b)}
         backward(loss)
         first = {name: leaf.grad.copy() for name, leaf in zip("xwb", (x, w, b))}
         assert len(interior) == 6
         for node in interior:
-            assert node.grad is None and node._backward is None and node._parents == ()
+            assert node.grad is None and node.backward is None and node.parents == ()
+        assert not loss._tracked() and not h._tracked()  # a walked node counts as untracked
         for leaf in (x, w, b):
             assert leaf.grad is not None
         with pytest.raises(ShapeError, match=r"no graph \(untracked, or already walked\)"):
             backward(loss)
     for name, leaf in zip("xwb", (x, w, b)):
         assert same_bits(leaf.grad, first[name])
+
+
+def test_forward_frees_the_arrays_backward_does_not_read(monkeypatch):
+    from ltt.encoder import TextConfig, VitConfig, _block, param_layout
+
+    # attention trains, the MLP and the norms are frozen, as under LoRA
+    rng = np.random.default_rng(41)
+    weights = {n: Tensor(rng.normal(0, 0.02, s).astype(np.float32),
+                         requires_grad=".attn." in n)
+               for n, s, _ in param_layout(VitConfig(), TextConfig(vocab_size=4))
+               if n.startswith(("img.layers.0.", "img.layers.1."))}
+    x = Tensor(rng.normal(size=(8, 17, 64)).astype(np.float32))
+    freed = {"add": [], "matmul": [], "frozen_linear_input": []}
+    add, matmul, linear = T.add, T.matmul, T.linear
+
+    def traced_add(a, b):
+        out = add(a, b)
+        freed["add"].append(weakref.ref(out.data))
+        return out
+
+    def traced_matmul(a, b):
+        out = matmul(a, b)
+        freed["matmul"].append(weakref.ref(out.data))
+        return out
+
+    def traced_linear(h, w, b=None):
+        if not w.requires_grad:
+            freed["frozen_linear_input"].append(weakref.ref(h.data))
+        return linear(h, w, b)
+
+    monkeypatch.setattr(T, "add", traced_add)
+    monkeypatch.setattr(T, "matmul", traced_matmul)
+    monkeypatch.setattr(T, "linear", traced_linear)
+    with Tape():
+        h = x
+        for i in range(2):
+            h = _block(h, weights, f"img.layers.{i}", num_heads=4)
+        loss = T.mean(T.mul(h, h))
+        last = freed["add"].pop()  # the block output, which h still holds
+        # per block: two residual adds, scores and context, the MLP's two inputs
+        assert [len(refs) for refs in freed.values()] == [3, 4, 4]
+        for kind, refs in freed.items():
+            assert all(ref() is None for ref in refs), kind
+        assert last() is h.data
+        assert loss._tracked()  # the graph is alive, and still walks
+        backward(loss)
+    assert all(w.grad is not None for n, w in weights.items() if ".attn." in n)
 
 
 def test_backward_rejects_a_loss_without_graph():

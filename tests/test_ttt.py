@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from ltt import tensor as T
 from ltt import ttt
 from ltt.data import Instance
-from ltt.encoder import build_text_table, classify_batch
+from ltt.encoder import (ClipModel, TextConfig, VitConfig, Vocab, build_text_table,
+                         classify_batch)
 from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash
 from ltt.pretrain import lora_pretrain
 from ltt.serial import config_from_json
@@ -669,3 +671,22 @@ def test_config_validation_errors():
                 TttConfig(**{name: value})
     # zero lr and zero masking stay valid
     TttConfig(lr=0.0, wd=0.0, mask_ratio=0.0, num_views=1)
+
+
+def test_a_default_lora_ttt_episode_allocates_at_most_15_mb():
+    # 21.9 MB while every recorded tensor kept its parents' arrays until backward
+    vocab = Vocab(["a", "photo", "of", "red", "blue", "circle", "square"])
+    model = ClipModel.create(VitConfig(), TextConfig(vocab_size=len(vocab)), vocab, seed=0)
+    table = build_text_table(model, ["red circle", "blue square"], ["a photo of a {class}"])
+    cfg = TttConfig(mode="lora_ttt")
+    encoder = build_encoder_for_mode(model, cfg)
+    item = Instance("i0", np.random.default_rng(1).uniform(0, 1, (3, 32, 32)).astype(np.float32),
+                    label=0)
+    run_episode(item, encoder, table, cfg, episode_rng(0, item.id))  # warm
+    tracemalloc.start()
+    try:
+        run_episode(item, encoder, table, cfg, episode_rng(0, item.id))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6, peak
