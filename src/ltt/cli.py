@@ -14,9 +14,8 @@ from .data import DatasetManifest, SyntheticShiftSpec, generate, load_pairs, loa
 from .encoder import ClipModel, TextFeatureTable, VitConfig
 from .lora import LoraConfig
 from .metrics import report_csv_rows
-from .pretrain import embed_text, lora_pretrain, pretrain
+from .pretrain import embed_text, keep_freed_memory, lora_pretrain, pretrain
 from .serial import config_from_json
-from .tensor import _keep_freed_memory
 from .ttt import MODES, TttConfig, run_stream
 
 CLI_MODES = {mode.replace("_", "-"): mode for mode in MODES}
@@ -166,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _keep_freed_memory()
+    keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:

@@ -4,7 +4,9 @@ the class text-feature table."""
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +17,20 @@ from .encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab,
                       build_text_table, contrastive_loss)
 from .lora import AdaptedEncoder, LoraConfig
 from .optim import AdamW
-from .tensor import Tape, Tensor, _keep_freed_memory, backward, no_grad
+from .tensor import Tape, Tensor, backward, no_grad
 from .views import normalize, random_resized_crop, resize_bilinear
 
 PRETRAIN_CROP_RANGE = (0.5, 1.0)  # milder than test-time crops: shapes are localized
 PRETRAIN_LR = 1e-3
 PRETRAIN_WD = 0.1
+
+
+def keep_freed_memory():
+    """Keep freed memory in the heap (glibc; a no-op elsewhere): each episode or step
+    frees and reallocates tens of MB, and a trimmed heap faults every page in again."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt and mallopt(-3, 1 << 25):  # M_MMAP_THRESHOLD: arrays below 32 MB use the heap
+        mallopt(-1, 1 << 28)  # M_TRIM_THRESHOLD: hand back the heap top only past 256 MB
 
 
 def _encode_captions(model: ClipModel, caption_ids: list[list[int]]):
@@ -48,7 +58,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     views stay in-distribution. Returns the trained (frozen) model and the
     per-step loss trace.
     """
-    _keep_freed_memory()
+    keep_freed_memory()
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
     pairs = load_pairs(root, "train", manifest)

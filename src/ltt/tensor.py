@@ -8,8 +8,6 @@ order and frees them as it goes. Outside a tape (or under no_grad) ops are pure 
 
 from __future__ import annotations
 
-import ctypes
-import sys
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -70,14 +68,6 @@ class no_grad:
 def active_tape() -> Optional[Tape]:
     stack = _tape_stack()
     return stack[-1] if stack else None
-
-
-def _keep_freed_memory():
-    """Keep freed memory in the heap (glibc; a no-op elsewhere): each episode or step
-    frees and reallocates tens of MB, and a trimmed heap faults every page in again."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
-    if mallopt and mallopt(-3, 1 << 25):  # M_MMAP_THRESHOLD: arrays below 32 MB use the heap
-        mallopt(-1, 1 << 28)  # M_TRIM_THRESHOLD: hand back the heap top only past 256 MB
 
 
 class _Node:
@@ -383,7 +373,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d gelu/dx from x and the forward's tanh t, one block of elements at a time."""
-    slope = np.empty_like(t)
+    slope = np.empty(t.shape, t.dtype)  # C order, so ss below is a view of it
     xs, ts, ss = x.reshape(-1), t.reshape(-1), slope.reshape(-1)
     for i in range(0, ss.size, GELU_BLOCK):
         xb, tb = xs[i:i + GELU_BLOCK], ts[i:i + GELU_BLOCK]

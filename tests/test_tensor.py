@@ -214,11 +214,16 @@ def test_kernels_match_plain_expressions_bitexact(name, dtype):
 @pytest.mark.parametrize("size", [T.GELU_BLOCK - 1, T.GELU_BLOCK, T.GELU_BLOCK + 1,
                                   2 * T.GELU_BLOCK + 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_slope_blocks_keep_the_bits_of_the_plain_expression(dtype, size, tracked):
+@pytest.mark.parametrize("transposed", [False, True])
+def test_gelu_slope_blocks_keep_the_bits_of_the_plain_expression(transposed, dtype, size,
+                                                                  tracked):
     rng = np.random.default_rng(size)
-    x = rng.normal(0, 3.0, size).astype(dtype)
-    g = rng.normal(size=size).astype(dtype)
-    leaf = Tensor(x.copy(), requires_grad=tracked)
+    # transposed: a (2, size) Fortran-ordered input, whose temporaries follow its memory order
+    x = rng.normal(0, 3.0, (size, 2) if transposed else size).astype(dtype)
+    x = x.T if transposed else x
+    g = rng.normal(size=x.shape).astype(dtype)
+    leaf = Tensor(x.copy(order="K"), requires_grad=tracked)
+    assert leaf.data.flags.c_contiguous != transposed
     with Tape():
         y = T.gelu(leaf)
         assert (y._node is not None) == tracked
