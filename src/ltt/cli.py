@@ -77,6 +77,8 @@ def cmd_run(args) -> int:
     model = ClipModel.load(args.ckpt)
     table = TextFeatureTable.load(args.table)
     cfg_obj = _load_json(args.config) if args.config else {}
+    if "mode" in cfg_obj:
+        raise ValueError(f"{args.config} sets 'mode'; the mode comes from --mode alone")
     cfg_obj["mode"] = CLI_MODES[args.mode]
     if args.seed is not None:
         cfg_obj["seed"] = args.seed

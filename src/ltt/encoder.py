@@ -56,6 +56,9 @@ class VitConfig:
         if self.num_layers < 2:
             raise ValueError("need num_layers >= 2")
         d, h = self.embed_dim, int(self.embed_dim * self.mlp_ratio)
+        if h < 1:
+            raise ValueError(f"VitConfig.mlp_ratio {self.mlp_ratio} gives the MLP "
+                             f"int({d} * {self.mlp_ratio}) = 0 hidden units, need >= 1")
         n = (d * (self.patch_dim + self.num_patches + 5 + self.out_dim)  # every img.* weight
              + self.num_layers * (4 * d * d + 2 * h * d + h + 9 * d))
         if n > MAX_IMAGE_PARAMS:

@@ -114,10 +114,9 @@ class AdaptedEncoder:
         if self.baseline is None:
             for ad in self.adapters.values():
                 ad.init_weights(rng)
-        for name, t in self.trainables.items():
-            if self.baseline is not None:
+        else:
+            for name, t in self.trainables.items():
                 t.data = self.baseline[name].copy()
-            t.grad = None
 
     def set_baseline_from_current(self):
         self.baseline = {name: t.data.copy() for name, t in self.trainables.items()}

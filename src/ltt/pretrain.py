@@ -107,8 +107,6 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
             lr = PRETRAIN_LR * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
             opt_w.lr = lr
             opt_b.lr = lr
-            opt_w.zero_grad()
-            opt_b.zero_grad()
             with Tape():
                 cls, _ = model.encode_image_batch(batch_imgs)
                 img_emb = T.l2_normalize(cls, axis=-1)
@@ -125,7 +123,6 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
 
     for t in trainables.values():
         t.requires_grad = False
-        t.grad = None
     return model, losses
 
 
@@ -170,7 +167,6 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
             idx = order[start:start + batch_size]
             if idx.size < 2:
                 continue
-            opt.zero_grad()
             with Tape():
                 loss = batch_loss(idx)
                 backward(loss)

@@ -192,7 +192,6 @@ class TunedEncoder:
     def reset(self, rng=None):
         for name, t in self.trainables.items():
             t.data = self.model.params[name].data.copy()
-            t.grad = None
 
 
 def build_encoder_for_mode(model: ClipModel, cfg: TttConfig):
@@ -232,7 +231,6 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     # entropy loss sharpens would be pulled toward their masked copies.
     combined = cfg.mode != "lora_ttt_a"
     for _ in range(cfg.steps):
-        opt.zero_grad()
         with Tape() as tape:
             with nullcontext() if combined else no_grad():
                 cls_all, tok_all = encoder.encode_image_batch(views)

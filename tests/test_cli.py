@@ -170,6 +170,31 @@ def test_run_rejects_non_finite_image(workspace, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+IMAGE_CUTS = {"one-channel": lambda img: img[:1], "empty": lambda img: img[:, :0, :0]}
+
+
+@pytest.mark.parametrize("command", ["run", "pretrain", "lora-pretrain"])
+@pytest.mark.parametrize("cut", list(IMAGE_CUTS))
+def test_commands_reject_an_image_not_of_shape_3_h_w(workspace, tmp_path, capsys, cut,
+                                                     command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    for it in manifest["items"]:
+        img = IMAGE_CUTS[cut](read_tensor(data / it["path"]))
+        write_tensor(data / it["path"], np.ascontiguousarray(img))
+    split = "test" if command == "run" else "train"
+    first = next(it["id"] for it in manifest["items"] if it["split"] == split)
+    argv = {"run": ["run", "--ckpt", str(workspace / "model.lttw"), "--mode", "zero-shot",
+                    "--table", str(workspace / "table.lttc")],
+            "pretrain": ["pretrain", "--config", str(workspace / "model.json"), "--epochs", "1"],
+            "lora-pretrain": ["lora-pretrain", "--ckpt", str(workspace / "model.lttw")]}[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(data), "--out", str(out)]) == 1
+    assert_one_error(capsys, f"item {first!r} has shape {img.shape}, not (3, H, W) with H, W >= 1")
+    assert not out.exists()
+
+
 def run_with_config(workspace, out, config, mode="lora-ttt"):
     (out.parent / "ttt.json").write_text(json.dumps(config))
     return main(["run", "--ckpt", str(workspace / "model.lttw"),
@@ -181,6 +206,14 @@ def test_run_with_a_diverging_step_exits_1(workspace, tmp_path, capsys):
     out = tmp_path / "run"
     assert run_with_config(workspace, out, {"lr": 1e30, "num_views": 8}) == 1
     assert_one_error(capsys, "non-finite probabilities")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["lora_ttt_a", "lora_ttt"])
+def test_run_rejects_a_config_that_sets_the_mode(workspace, tmp_path, capsys, mode):
+    out = tmp_path / "run"
+    assert run_with_config(workspace, out, {"mode": mode, "num_views": 8}) == 1
+    assert_one_error(capsys, "sets 'mode'; the mode comes from --mode alone")
     assert not out.exists()
 
 
@@ -274,6 +307,15 @@ def test_pretrain_rejects_non_positive_model_sizes(workspace, tmp_path, capsys, 
                  "--out", str(tmp_path / "model.lttw")]) == 1
     key, value = next(iter(bad.items()))
     assert_one_error(capsys, f"{key} must be {'finite' if value >= 1e308 else '> 0'}")
+    assert not (tmp_path / "model.lttw").exists()
+
+
+def test_pretrain_rejects_an_mlp_with_no_hidden_units(workspace, tmp_path, capsys):
+    (tmp_path / "model.json").write_text(json.dumps({"embed_dim": 64, "mlp_ratio": 0.01}))
+    assert main(["pretrain", "--data", str(workspace / "data"),
+                 "--config", str(tmp_path / "model.json"),
+                 "--out", str(tmp_path / "model.lttw")]) == 1
+    assert_one_error(capsys, "mlp_ratio 0.01 gives the MLP int(64 * 0.01) = 0 hidden units")
     assert not (tmp_path / "model.lttw").exists()
 
 

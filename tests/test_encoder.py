@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ltt import encoder, tensor as T
 from ltt.encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig,
                          build_text_table, classify_batch, contrastive_loss)
 from ltt.lora import AdaptedEncoder, LoraConfig
-from ltt.serial import read_checkpoint, write_checkpoint
+from ltt.serial import config_from_json, read_checkpoint, write_checkpoint
 from ltt.tensor import Tensor
 from ltt.views import sample_mask
 
@@ -360,6 +361,16 @@ def test_layout_is_every_weight_in_record_order(tiny_model, tmp_path):
 def test_configs_reject_non_positive_sizes(cls, kw):
     with pytest.raises(ValueError, match="must be > 0"):
         cls(**kw)
+
+
+@pytest.mark.parametrize("embed_dim, ratio", [(64, 0.01), (64, 1 / 64 - 1e-9), (4, 0.2)])
+def test_vit_config_rejects_an_mlp_with_no_hidden_units(embed_dim, ratio):
+    obj = {"embed_dim": embed_dim, "num_heads": 4, "mlp_ratio": ratio}
+    with pytest.raises(ValueError, match=re.escape(
+            f"mlp_ratio {ratio} gives the MLP int({embed_dim} * {ratio}) = 0 hidden units")):
+        config_from_json(VitConfig, obj)
+    # the smallest ratio that gives one hidden unit builds
+    assert config_from_json(VitConfig, {**obj, "mlp_ratio": 1 / embed_dim}).mlp_ratio > 0
 
 
 def test_image_tower_parameter_bound_is_exact(tiny_model, monkeypatch):

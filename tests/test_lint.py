@@ -117,3 +117,43 @@ def test_closure_check_flags_a_tensor_read_and_passes_its_array():
                      "        return (g * b_data).sum(axis)\n")
     assert list(closure_tensor_reads(pinned)) == [("mul", "b", 3)]
     assert list(closure_tensor_reads(lean)) == []
+
+
+def gradient_writes(tree: ast.Module):
+    """(what, line) for each store to or delete of a `.grad` attribute, and each
+    definition or use of a `zero_grad` name."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "grad"
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            yield ".grad", node.lineno
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name == "zero_grad":
+            yield "zero_grad", node.lineno
+
+
+ROOT = SRC.parents[1]
+SOURCES = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tools").glob("*.py")),
+           *sorted((ROOT / "tests").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_backward_and_the_optimizer_step_write_gradients(path):
+    # backward writes a gradient and AdamW.step releases it; nothing else clears one
+    found = list(gradient_writes(ast.parse(path.read_text(), filename=str(path))))
+    if path.parent != SRC or path.name in ("tensor.py", "optim.py"):
+        found = [(what, line) for what, line in found if what == "zero_grad"]
+    assert not found, f"{path.name} writes gradients: {found}"
+
+
+def test_gradient_check_flags_a_clear_and_a_zero_grad():
+    tree = ast.parse("class O:\n"
+                     "    def zero_grad(self):\n"
+                     "        t.grad = None\n"
+                     "opt.zero_grad()\n"
+                     "del t.grad\n"
+                     "t.grad += g\n"
+                     "print(t.grad)\n")
+    assert sorted(gradient_writes(tree)) == [(".grad", 3), (".grad", 5), (".grad", 6),
+                                             ("zero_grad", 2), ("zero_grad", 4)]

@@ -84,39 +84,55 @@ def test_missing_gradient_raises():
     assert opt.t == 0
 
 
-def test_non_trainable_params_untouched():
+def test_a_frozen_tensor_fails_the_first_step_naming_it():
+    # backward never writes a gradient to a frozen tensor, so owning one is an error
     frozen = Tensor(np.asarray(5.0))
     live = make_param(1.0)
     live.grad = np.asarray(1.0)
-    opt = AdamW({"frozen": frozen, "live": live}, lr=0.1)
-    opt.step()
-    assert float(frozen.data) == 5.0
-    assert "frozen" not in opt.m and "frozen" not in opt.v
-    assert float(live.data) != 1.0
+    opt = AdamW({"live": live, "frozen": frozen}, lr=0.1)
+    with pytest.raises(ValueError, match="'frozen' has no gradient"):
+        opt.step()
+    assert float(frozen.data) == 5.0 and float(live.data) == 1.0 and opt.t == 0
 
 
-def test_zero_grad_clears_every_owned_gradient_only():
+def test_a_step_releases_every_gradient_it_applied_and_a_second_raises():
     a, b, other = make_param(1.0), make_param([2.0, 3.0]), make_param(4.0)
     for t in (a, b, other):
         t.grad = np.ones_like(t.data)
     opt = AdamW({"a": a, "b": b})
-    opt.zero_grad()
+    opt.step()
     assert a.grad is None and b.grad is None
-    assert other.grad is not None
-    # a cleared gradient makes the next step refuse to run
-    with pytest.raises(ValueError, match="no gradient"):
+    assert other.grad is not None  # not owned, so not touched
+    after = [a.data.copy(), b.data.copy()]
+    # with no backward in between, the next step has nothing to apply
+    with pytest.raises(ValueError, match="'a' has no gradient"):
         opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(t.data, w) for t, w in zip((a, b), after))
 
 
-def test_moments_start_at_zero_and_persist_across_steps():
+def test_moments_are_zeros_from_construction():
+    params = {"w": make_param(np.ones((2, 3))),
+              "b": Tensor(np.ones(4, dtype=np.float32), requires_grad=True)}
+    opt = AdamW(params)
+    for moments in (opt.m, opt.v):
+        assert list(moments) == ["w", "b"]
+        for name, p in params.items():
+            m = moments[name]
+            assert m.shape == p.shape and m.dtype == p.dtype and not m.any()
+
+
+def test_moments_persist_across_steps():
     p = make_param(np.zeros((2, 3)))
     opt = AdamW({"w": p}, lr=0.01)
+    m = opt.m["w"]
     p.grad = np.ones((2, 3))
     opt.step()
-    m = opt.m["w"]
-    assert m.shape == (2, 3) and np.array_equal(m, np.full((2, 3), 1.0 - 0.9))
+    assert opt.m["w"] is m and np.array_equal(m, np.full((2, 3), 1.0 - 0.9))
+    p.grad = np.ones((2, 3))
     opt.step()
     assert opt.m["w"] is m and opt.t == 2
+    assert np.allclose(m, np.full((2, 3), 0.9 * 0.1 + 0.1))
 
 
 @pytest.mark.parametrize("kwargs", [{"lr": float("nan")}, {"lr": -1.0}, {"lr": float("inf")},

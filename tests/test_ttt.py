@@ -296,7 +296,6 @@ def test_episode_b_becomes_nonzero_during_step(setup):
     views = make_views(items[2].image, cfg.num_views, rng, model.norm_mean,
                        model.norm_std, 32)
     opt = AdamW(encoder.trainables, cfg.lr, cfg.wd)
-    opt.zero_grad()
     with Tape():
         cls_all, _ = encoder.encode_image_batch(views)
         probs_t = classify_batch(cls_all, table, model.tau)
