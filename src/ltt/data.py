@@ -322,7 +322,8 @@ def generate(spec: SyntheticShiftSpec, out_dir) -> DatasetManifest:
 
 
 def _read_image(root: Path, item: dict) -> np.ndarray:
-    # a NaN pixel would otherwise reach the episode and poison the run's ECE
+    # every command reads its images here: normalize would broadcast a 1-channel
+    # image, and a NaN pixel would reach the episode and poison the run's ECE
     img = read_tensor(root / item["path"])
     if img.ndim != 3 or img.shape[0] != 3 or min(img.shape[1:]) < 1:
         raise ValueError(f"item {item['id']!r} has shape {img.shape}, not (3, H, W) "

@@ -8,6 +8,7 @@ from ltt import tensor as T
 from ltt.lora import (AdaptedEncoder, LoraAdapter, LoraConfig, base_weight_hash,
                       trainable_parameter_count)
 from ltt.optim import AdamW
+from ltt.pretrain import lora_pretrain
 from ltt.serial import config_from_json, read_checkpoint, write_checkpoint
 from ltt.tensor import Tape, Tensor, backward
 
@@ -137,6 +138,17 @@ def test_gradient_reaches_b_after_one_step(tiny_model):
     opt.step()
     b_entries = [ad.b.data for ad in adapted.adapters.values()]
     assert any(np.any(b != 0) for b in b_entries)
+
+
+def test_lora_pretrain_leaves_no_gradient_behind(tiny_model):
+    rng = np.random.default_rng(18)
+    pairs = [(rand_image(rng), c) for c in ("a red circle", "a blue square",
+                                            "a green triangle")] * 2
+    encoder, losses = lora_pretrain(tiny_model, pairs, 2, np.random.default_rng(19),
+                                    LoraConfig(rank=2), lr=0.01, batch_size=4)
+    assert len(losses) == 4  # two batches, of 4 and 2 pairs, per epoch
+    assert [n for n, t in encoder.trainables.items() if t.grad is not None] == []
+    assert not any(t.requires_grad or t.grad is not None for t in tiny_model.params.values())
 
 
 def test_trainable_parameter_count_hand_values():
