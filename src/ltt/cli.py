@@ -81,6 +81,9 @@ def cmd_run(args) -> int:
         raise ValueError(f"{args.config} sets 'mode'; the mode comes from --mode alone")
     cfg_obj["mode"] = CLI_MODES[args.mode]
     if args.seed is not None:
+        if "seed" in cfg_obj:
+            raise ValueError(f"{args.config} sets 'seed'; give the seed there or with --seed, "
+                             "not both")
         cfg_obj["seed"] = args.seed
     cfg = config_from_json(TttConfig, cfg_obj)
     manifest = DatasetManifest.load(Path(args.data) / "manifest.json")

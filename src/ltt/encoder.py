@@ -341,6 +341,11 @@ class ClipModel:
         x = T.linear(x, p["img.proj"])
         cls_out = T.reshape(T.slice_axis(x, 1, 0, 1), (b, self.vit.out_dim))
         tok_out = T.slice_axis(x, 1, 1, x.shape[1])
+        tape = T.active_tape()
+        if tape is not None:  # what this forward encoded, which the episode reports
+            kind = "full" if keep is None else "masked"
+            tape.counts[f"{kind}_views"] += b
+            tape.counts[f"{kind}_tokens"] += b * x.shape[1]
         return cls_out, tok_out
 
     def encode_text_batch(self, sequences: list[list[int]]) -> Tensor:
@@ -374,8 +379,6 @@ def classify_batch(class_embs: Tensor, table: TextFeatureTable, tau: float) -> T
     """softmax over classes of cos(t_i, v)/tau, rows of `class_embs` as v."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if table.num_classes < 2:
-        raise ValueError("need at least 2 classes")
     feats = Tensor(np.asarray(table.features, dtype=class_embs.data.dtype))
     v = T.l2_normalize(class_embs, axis=-1)
     cos = T.linear(v, feats)
@@ -391,15 +394,14 @@ def build_text_table(model: ClipModel, class_names: list[str],
         if "{class}" not in t:
             raise ValueError(f"template {t!r} has no {{class}} slot")
     rows = np.zeros((len(class_names), model.vit.out_dim), dtype=np.float32)
-    with T.no_grad():
-        for i, name in enumerate(class_names):
-            acc = np.zeros(model.vit.out_dim, dtype=np.float64)
-            for tmpl in templates:
-                ids = model.vocab.encode(tmpl.replace("{class}", name))
-                emb = model.encode_text_batch([ids]).data[0].astype(np.float64)
-                acc += emb / np.linalg.norm(emb)
-            acc /= len(templates)
-            rows[i] = (acc / np.linalg.norm(acc)).astype(np.float32)
+    for i, name in enumerate(class_names):
+        acc = np.zeros(model.vit.out_dim, dtype=np.float64)
+        for tmpl in templates:
+            ids = model.vocab.encode(tmpl.replace("{class}", name))
+            emb = model.encode_text_batch([ids]).data[0].astype(np.float64)
+            acc += emb / np.linalg.norm(emb)
+        acc /= len(templates)
+        rows[i] = (acc / np.linalg.norm(acc)).astype(np.float32)
     return TextFeatureTable(list(class_names), rows)
 
 

@@ -17,7 +17,7 @@ from .encoder import (ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab,
                       build_text_table, contrastive_loss)
 from .lora import AdaptedEncoder, LoraConfig
 from .optim import AdamW
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import Tape, Tensor, backward
 from .views import normalize, random_resized_crop, resize_bilinear
 
 PRETRAIN_CROP_RANGE = (0.5, 1.0)  # milder than test-time crops: shapes are localized
@@ -140,14 +140,13 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
         raise ValueError("empty image-text pair set")
     encoder = AdaptedEncoder(model, lora_cfg or LoraConfig(), rng)
     scale = 1.0 / model.tau
-    with no_grad():
-        # one caption per forward, unlike _encode_captions: a batched row differs
-        # in its last bits, and these rows fix the bits of the adapter checkpoint
-        caption_feats = {}
-        for _, caption in pairs:
-            if caption not in caption_feats:
-                emb = model.encode_text_batch([model.vocab.encode(caption)])
-                caption_feats[caption] = T.l2_normalize(emb, axis=-1).data[0]
+    # one caption per forward, unlike _encode_captions: a batched row differs
+    # in its last bits, and these rows fix the bits of the adapter checkpoint
+    caption_feats = {}
+    for _, caption in pairs:
+        if caption not in caption_feats:
+            emb = model.encode_text_batch([model.vocab.encode(caption)])
+            caption_feats[caption] = T.l2_normalize(emb, axis=-1).data[0]
 
     size = model.vit.image_size
     images = np.stack([normalize(resize_bilinear(img, size, size), model.norm_mean,
@@ -174,10 +173,10 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
                 raise ValueError(f"non-finite loss at adapter pretraining step {len(losses) + 1}")
             opt.step()
             losses.append(float(loss.data))
-    if losses:  # each step checks the loss it starts from; this checks the last update
-        with no_grad():  # on the first batch of the last epoch, which a step trained on
-            if not np.isfinite(batch_loss(order[:batch_size]).data):
-                raise ValueError(f"non-finite loss after adapter pretraining step {len(losses)}")
+    # each step checks the loss it starts from; this checks the last update, on
+    # the first batch of the last epoch, which a step trained on
+    if losses and not np.isfinite(batch_loss(order[:batch_size]).data):
+        raise ValueError(f"non-finite loss after adapter pretraining step {len(losses)}")
     encoder.set_baseline_from_current()
     return encoder, losses
 

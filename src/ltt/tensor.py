@@ -8,7 +8,7 @@ order and frees them as it goes. Outside a tape (or under no_grad) ops are pure 
 
 from __future__ import annotations
 
-import threading
+from collections import Counter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,17 +25,12 @@ class ShapeError(ValueError):
     pass
 
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_tls, "stack"):
-        _tls.stack = []
-    return _tls.stack
+_stack: list = []  # open tapes, innermost last; a no_grad scope pushes None
 
 
 class Tape:
-    """Records how many graph nodes were created while active.
+    """Records what was done while active: `num_nodes` graph nodes, and in
+    `counts` what the image forward encoded (full/masked views and tokens).
 
     One tape per episode/step. The graph hangs off the tensors, not the tape,
     and backward() frees it as it walks it.
@@ -43,13 +38,14 @@ class Tape:
 
     def __init__(self):
         self.num_nodes = 0
+        self.counts: Counter = Counter()
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _stack.pop()
         return False
 
 
@@ -57,17 +53,16 @@ class no_grad:
     """Disable recording inside the block, even under an outer tape."""
 
     def __enter__(self):
-        _tape_stack().append(None)
+        _stack.append(None)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _stack.pop()
         return False
 
 
 def active_tape() -> Optional[Tape]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _stack[-1] if _stack else None
 
 
 class _Node:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -126,8 +127,7 @@ def mem_loss(selected_probs: Tensor) -> Tensor:
 
 
 def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_target: str,
-             rng: np.random.Generator, *, unmasked: tuple | None = None,
-             stats: dict | None = None) -> Tensor:
+             rng: np.random.Generator, *, unmasked: tuple | None = None) -> Tensor:
     """Reconstruction loss between masked and unmasked encodings.
 
     class_token: MSE of the projected class embeddings. visual_tokens: MSE
@@ -145,19 +145,12 @@ def mae_loss(encoder, selected_views: np.ndarray, mask_ratio: float, recon_targe
     detach = unmasked is not None
     if not detach:
         unmasked = encoder.encode_image_batch(selected_views)
-        if stats is not None:
-            stats["full_views"] = stats.get("full_views", 0) + k
-            stats["tokens"] = stats.get("tokens", 0) + k * (1 + p_total)
     # every mask drops floor(ratio*P) patches, so the k masked views form one
     # rectangular batch of K = 1 + kept tokens each
     masks = [sample_mask(p_total, mask_ratio, rng) for _ in range(k)]
     kept = np.stack([np.setdiff1d(np.arange(p_total), m) for m in masks])
     keep = np.concatenate([np.zeros((k, 1), dtype=np.int64), 1 + kept], axis=1)
     cls_m, tok_m = encoder.encode_image_batch(selected_views, keep=keep)
-    if stats is not None:
-        stats["masked_views"] = stats.get("masked_views", 0) + k
-        stats["masked_tokens"] = stats.get("masked_tokens", 0) + keep.size
-        stats["tokens"] = stats.get("tokens", 0) + keep.size
     if recon_target == "class_token":
         pred, target = cls_m, unmasked[0]
     else:
@@ -214,7 +207,6 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     """One adapt-predict-reset episode; zero-shot is the one with one view and no step."""
     t0 = time.perf_counter()
     model = encoder.model
-    p_total = model.vit.num_patches
 
     encoder.reset(rng)  # per-episode seeding: adapter state from this instance's stream
     views = make_views(instance.image, cfg.num_views, rng, model.norm_mean,
@@ -222,7 +214,7 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     opt = AdamW(encoder.trainables, cfg.lr, cfg.wd)
 
     peak_nodes = 0
-    stats: dict = {}
+    counts: Counter = Counter()  # what the steps' tapes saw encoded
     step_losses: list = []
     selected: list[int] = []
     # lora_ttt_a selects on a no-grad forward and re-encodes its target on
@@ -238,8 +230,6 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
             selected = select_confident(probs_t.data, cfg.cutoff)
             l_mem = l_mae = None
             if combined:
-                stats["full_views"] = stats.get("full_views", 0) + cfg.num_views
-                stats["tokens"] = stats.get("tokens", 0) + cfg.num_views * (1 + p_total)
                 l_mem = mem_loss(T.index_select(probs_t, selected, axis=0))
             if cfg.lam_mae > 0:
                 unmasked = None
@@ -248,18 +238,18 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
                                 T.index_select(tok_all, selected, axis=0)
                                 if cfg.recon_target == "visual_tokens" else None)
                 l_mae = mae_loss(encoder, views[selected], cfg.mask_ratio,
-                                 cfg.recon_target, rng, unmasked=unmasked, stats=stats)
+                                 cfg.recon_target, rng, unmasked=unmasked)
             zero = Tensor(np.zeros((), dtype=(l_mae if l_mem is None else l_mem).dtype))
             loss = total_loss(zero if l_mem is None else l_mem,
                               zero if l_mae is None else l_mae, cfg.lam_mem, cfg.lam_mae)
             backward(loss)
         peak_nodes = max(peak_nodes, tape.num_nodes)
+        counts += tape.counts
         step_losses.append([None if l_mem is None else float(l_mem.data),
                             None if l_mae is None else float(l_mae.data), float(loss.data)])
         opt.step()
 
-    with no_grad():
-        probs = classify_batch(encoder.encode_image_batch(views[:1])[0], table, model.tau).data[0]
+    probs = classify_batch(encoder.encode_image_batch(views[:1])[0], table, model.tau).data[0]
     mem, mae, total = step_losses[-1] if step_losses else (None, None, None)
     result = EpisodeResult(
         instance_id=instance.id, predicted=int(np.argmax(probs)),
@@ -267,10 +257,9 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
         mem_loss=mem, mae_loss=mae, total_loss=total, step_losses=step_losses,
         selected=list(selected), trainable_params=encoder.trainable_count(),
         peak_tape_nodes=peak_nodes,
-        recorded_full_views=stats.get("full_views", 0),
-        recorded_masked_views=stats.get("masked_views", 0),
-        recorded_tokens=stats.get("tokens", 0),
-        masked_pass_tokens=stats.get("masked_tokens", 0))
+        recorded_full_views=counts["full_views"], recorded_masked_views=counts["masked_views"],
+        recorded_tokens=counts["full_tokens"] + counts["masked_tokens"],
+        masked_pass_tokens=counts["masked_tokens"])
     encoder.reset(rng)  # episodic contract: nothing survives the instance
     if not np.isfinite(probs).all():
         raise ValueError(f"instance {instance.id!r}: non-finite probabilities; the step diverged")

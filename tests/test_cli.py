@@ -119,6 +119,20 @@ def test_report_merges_runs(workspace, capsys):
     assert "zero_shot" in lines[1]
 
 
+def test_run_on_a_split_with_a_missing_tensor_file_is_an_io_error(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    item = json.loads((data / "manifest.json").read_text())["items"][-1]
+    (data / item["path"]).unlink()
+    out = tmp_path / "run"
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"), "--data", str(data),
+                 "--mode", "zero-shot", "--split", item["split"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1 and item["path"] in err
+    assert not out.exists()
+
+
 def test_exit_codes(workspace, tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{ not json")
@@ -215,6 +229,23 @@ def test_run_rejects_a_config_that_sets_the_mode(workspace, tmp_path, capsys, mo
     assert run_with_config(workspace, out, {"mode": mode, "num_views": 8}) == 1
     assert_one_error(capsys, "sets 'mode'; the mode comes from --mode alone")
     assert not out.exists()
+
+
+def test_run_rejects_a_seed_from_both_the_config_and_the_flag(workspace, tmp_path, capsys):
+    out, config = tmp_path / "run", tmp_path / "ttt.json"
+    config.write_text(json.dumps({"seed": 5, "num_views": 8}))
+    assert main(["run", "--ckpt", str(workspace / "model.lttw"),
+                 "--table", str(workspace / "table.lttc"), "--data", str(workspace / "data"),
+                 "--mode", "lora-ttt", "--config", str(config), "--seed", "3",
+                 "--out", str(out)]) == 1
+    assert_one_error(capsys, f"{config} sets 'seed'; give the seed there or with --seed")
+    assert not out.exists()
+
+
+def test_run_takes_the_seed_from_the_config_alone(workspace, tmp_path):
+    out = tmp_path / "run"
+    assert run_with_config(workspace, out, {"seed": 5, "num_views": 8}) == 0
+    assert json.loads((out / "report.json").read_text())["seed"] == 5
 
 
 def test_run_with_a_size_too_large_to_allocate_exits_1(workspace, tmp_path, capsys):

@@ -116,6 +116,28 @@ def test_keep_shape_and_range_errors(tiny_model):
         tiny_model.encode_image_batch(imgs, keep=[0, 1])
 
 
+def test_a_forward_counts_what_it_encoded_on_the_open_tape_only(tiny_model):
+    rng = np.random.default_rng(6)
+    imgs = np.stack([rand_image(rng) for _ in range(3)])
+    keep = keep_rows(16, [list(range(8)), [1, 3, 5, 7, 9, 11, 13, 15], list(range(8, 16))])
+    full = {"full_views": 3, "full_tokens": 3 * (1 + 16)}
+    with T.Tape() as tape:
+        tiny_model.encode_image_batch(imgs)
+        assert tape.counts == full
+        tiny_model.encode_image_batch(imgs, keep=keep)
+        assert tape.counts == {**full, "masked_views": 3, "masked_tokens": keep.size}
+        with T.no_grad():
+            tiny_model.encode_image_batch(imgs)
+            tiny_model.encode_image_batch(imgs, keep=keep)
+        with T.Tape() as inner:  # a nested tape takes its own forwards
+            tiny_model.encode_image_batch(imgs[:1])
+    assert keep.size == 3 * 9
+    assert tape.counts == {**full, "masked_views": 3, "masked_tokens": 27}
+    assert inner.counts == {"full_views": 1, "full_tokens": 17}
+    tiny_model.encode_image_batch(imgs)  # no tape open
+    assert tape.counts == {**full, "masked_views": 3, "masked_tokens": 27}
+
+
 # ---------------------------------------------------------------------------
 # text encoder
 

@@ -326,6 +326,23 @@ def test_all_adapt_modes_run_and_reset(setup, mode):
     assert base_weight_hash(model) == before
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("target", ["class_token", "visual_tokens"])
+@pytest.mark.parametrize("mode", ["zero_shot", "lora_ttt", "lora_ttt_m", "lora_ttt_a",
+                                  "full_tune"])
+def test_episode_counts_are_their_closed_forms(setup, mode, target, steps):
+    model, table, items = setup
+    cfg = small_cfg(mode=mode, recon_target=target, steps=steps)
+    ep = run_episode(items[4], build_encoder_for_mode(model, cfg), table, cfg,
+                     episode_rng(cfg.seed, items[4].id))
+    n, k, tokens, kept = 16, 4, 1 + 16, 1 + 16 - 8  # 16 views, cutoff 0.25, mask ratio 0.5
+    full = {"zero_shot": 0, "lora_ttt_a": steps * k}.get(mode, steps * n)
+    masked = steps * k if mode in ("lora_ttt", "lora_ttt_a", "full_tune") else 0
+    assert (ep.recorded_full_views, ep.recorded_masked_views) == (full, masked)
+    assert ep.masked_pass_tokens == masked * kept
+    assert ep.recorded_tokens == full * tokens + masked * kept
+
+
 def test_tape_nodes_do_not_grow_with_selected_views(setup):
     model, table, items = setup
     nodes = []
