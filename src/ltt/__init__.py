@@ -6,12 +6,12 @@ from .data import Instance
 from .encoder import ClipModel, TextConfig, TextFeatureTable, VitConfig, Vocab
 from .lora import AdaptedEncoder, LoraConfig, trainable_parameter_count
 from .optim import AdamW
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import Tape, Tensor, backward
 from .ttt import TttConfig, run_episode, run_stream
 
 __all__ = [
     "AdaptedEncoder", "AdamW", "ClipModel", "Instance", "LoraConfig", "Tape",
     "Tensor", "TextConfig", "TextFeatureTable", "TttConfig", "VitConfig",
-    "Vocab", "backward", "no_grad", "run_episode", "run_stream",
+    "Vocab", "backward", "run_episode", "run_stream",
     "trainable_parameter_count", "__version__",
 ]

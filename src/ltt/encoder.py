@@ -177,21 +177,10 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def _block(x: Tensor, p: dict, prefix: str, num_heads: int) -> Tensor:
-    b, t, d = x.shape
-    dh = d // num_heads
-
-    def attn_proj(h: Tensor, tag: str) -> Tensor:
-        return T.linear(h, p[f"{prefix}.attn.w{tag}"], p[f"{prefix}.attn.b{tag}"])
-
     h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    q, k, v = (T.transpose(T.reshape(attn_proj(h, m), (b, t, num_heads, dh)), (0, 2, 1, 3))
-               for m in "qkv")
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    scores = T.mul(scores, 1.0 / math.sqrt(dh))
-    att = T.softmax(scores, axis=-1)
-    ctx = T.matmul(att, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-    x = T.add(x, attn_proj(ctx, "o"))
+    qkv = (T.linear(h, p[f"{prefix}.attn.w{m}"], p[f"{prefix}.attn.b{m}"]) for m in "qkv")
+    x = T.add(x, T.linear(T.attention(*qkv, num_heads), p[f"{prefix}.attn.wo"],
+                          p[f"{prefix}.attn.bo"]))
 
     h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     h = T.gelu(T.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))

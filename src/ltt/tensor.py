@@ -3,7 +3,7 @@
 Every op is a plain function returning a new Tensor. When a Tape is active and
 an input is grad-tracked, the result gets a graph node whose closure holds only
 the arrays its gradient reads; backward() walks the nodes in reverse topological
-order and frees them as it goes. Outside a tape (or under no_grad) ops are pure numpy forwards.
+order and frees them as it goes. Outside a tape ops are pure numpy forwards.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class ShapeError(ValueError):
     pass
 
 
-_stack: list = []  # open tapes, innermost last; a no_grad scope pushes None
+_stack: list = []  # open tapes, innermost last
 
 
 class Tape:
@@ -42,18 +42,6 @@ class Tape:
 
     def __enter__(self) -> "Tape":
         _stack.append(self)
-        return self
-
-    def __exit__(self, *exc):
-        _stack.pop()
-        return False
-
-
-class no_grad:
-    """Disable recording inside the block, even under an outer tape."""
-
-    def __enter__(self):
-        _stack.append(None)
         return self
 
     def __exit__(self, *exc):
@@ -195,19 +183,14 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype("matmul", a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: need (m, n) @ (n, p), got {a.shape} @ {b.shape}")
     data = a.data @ b.data
     need_a, need_b = a._tracked(), b._tracked()
-    a_shape, b_shape = a.shape, b.shape
     a_data, b_data = (a.data if need_b else None), (b.data if need_a else None)
 
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape) if need_a else None
-        gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape) if need_b else None
-        return ga, gb
+        return g @ b_data.T if need_a else None, a_data.T @ g if need_b else None
 
     return _make(data, (a, b), backward)
 
@@ -320,17 +303,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        return (np.transpose(g, inv),)
-
-    return _make(data, (a,), backward)
-
-
 def broadcast_to(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     try:
@@ -418,12 +390,50 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        buf = g * data
-        np.subtract(g, buf.sum(axis=axis, keepdims=True), out=buf)
-        buf *= data
-        return (buf,)
+        return (_softmax_grad(g, data, axis),)
 
     return _make(data, (a,), backward)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:  # into a fresh array
+    buf = g * y
+    np.subtract(g, buf.sum(axis=axis, keepdims=True), out=buf)
+    buf *= y
+    return buf
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """softmax(q k^T / sqrt(dh)) v over `num_heads` heads of (b, t, d) inputs, as one node."""
+    if q.ndim != 3 or q.shape[2] % num_heads or len({(x.shape, x.dtype) for x in (q, k, v)}) > 1:
+        raise ShapeError(f"attention: q, k, v {[(x.shape, str(x.dtype)) for x in (q, k, v)]} are "
+                         f"not one (b, t, d) and dtype with d a multiple of {num_heads}")
+    b, t, d = q.shape
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (b, h, t, dh) -> a fresh C-ordered (b, t, d)
+        out = np.empty((b, t, d), x.dtype)
+        out.reshape(b, t, num_heads, -1)[...] = x.transpose(0, 2, 1, 3)
+        return out
+
+    qh, kh, vh = (x.data.reshape(b, t, num_heads, -1).transpose(0, 2, 1, 3) for x in (q, k, v))
+    scale = np.asarray(1.0 / np.sqrt(d // num_heads), dtype=q.dtype)
+    att = qh @ np.swapaxes(kh, -1, -2)
+    att *= scale
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    data = merge(att @ vh)
+    need_q, need_k, need_v = q._tracked(), k._tracked(), v._tracked()
+    qh, kh = (qh if need_k else None), (kh if need_q else None)  # a view holds its whole input
+    vh = vh if need_q or need_k else None  # read only for the scores' gradient
+
+    def backward(g):
+        gh = np.ascontiguousarray(g.reshape(b, t, num_heads, -1).transpose(0, 2, 1, 3))
+        gs = None if vh is None else _softmax_grad(gh @ np.swapaxes(vh, -1, -2), att, -1) * scale
+        return (merge(gs @ kh) if need_q else None,
+                merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)) if need_k else None,
+                merge(np.swapaxes(att, -1, -2) @ gh) if need_v else None)
+
+    return _make(data, (q, k, v), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -13,7 +13,6 @@ import json
 import math
 import time
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .encoder import ClipModel, TextFeatureTable, classify_batch, gather_rows
 from .lora import AdaptedEncoder, LoraConfig
 from .metrics import ece as ece_metric, report_csv_rows, top1_accuracy
 from .optim import AdamW
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import Tape, Tensor, backward
 from .views import make_views, sample_mask
 
 MODES = ("zero_shot", "lora_ttt", "lora_ttt_m", "lora_ttt_a", "full_tune")
@@ -217,26 +216,27 @@ def run_episode(instance: Instance, encoder, table: TextFeatureTable,
     counts: Counter = Counter()  # what the steps' tapes saw encoded
     step_losses: list = []
     selected: list[int] = []
-    # lora_ttt_a selects on a no-grad forward and re-encodes its target on
-    # the tape. The combined path takes its target from the tracked forward
-    # as fixed data, as in MAE: with gradient on both sides, the rows the
-    # entropy loss sharpens would be pulled toward their masked copies.
+    # lora_ttt_a selects on a forward before the step's tape opens and
+    # re-encodes its target on the tape. The combined path takes its target
+    # from the tracked forward as fixed data, as in MAE: with gradient on both
+    # sides, the rows the entropy loss sharpens would be pulled toward their masked copies.
     combined = cfg.mode != "lora_ttt_a"
     for _ in range(cfg.steps):
+        if not combined:
+            cls_all, _ = encoder.encode_image_batch(views)
+            selected = select_confident(classify_batch(cls_all, table, model.tau).data, cfg.cutoff)
         with Tape() as tape:
-            with nullcontext() if combined else no_grad():
+            l_mem = l_mae = unmasked = None
+            if combined:
                 cls_all, tok_all = encoder.encode_image_batch(views)
                 probs_t = classify_batch(cls_all, table, model.tau)
-            selected = select_confident(probs_t.data, cfg.cutoff)
-            l_mem = l_mae = None
-            if combined:
+                selected = select_confident(probs_t.data, cfg.cutoff)
                 l_mem = mem_loss(T.index_select(probs_t, selected, axis=0))
-            if cfg.lam_mae > 0:
-                unmasked = None
-                if combined:
+                if cfg.lam_mae > 0:
                     unmasked = (T.index_select(cls_all, selected, axis=0),
                                 T.index_select(tok_all, selected, axis=0)
                                 if cfg.recon_target == "visual_tokens" else None)
+            if cfg.lam_mae > 0:
                 l_mae = mae_loss(encoder, views[selected], cfg.mask_ratio,
                                  cfg.recon_target, rng, unmasked=unmasked)
             zero = Tensor(np.zeros((), dtype=(l_mae if l_mem is None else l_mem).dtype))

@@ -1,10 +1,13 @@
 """Shared oracles: central finite differences, relative-error metrics, a
-backward walk that copies every gradient and releases nothing, the keep
-rows of masked views, the per-crop view path (one 2-D bilinear gather per
-crop) that the batched crop pass must match bit for bit, and checkpoints
-whose weights are off their layout."""
+backward walk that copies every gradient and releases nothing, attention as
+the numpy calls of the 13 ops it once was, the keep rows of masked views,
+the per-crop view path (one 2-D bilinear gather per crop) that the batched
+crop pass must match bit for bit, and checkpoints whose weights are off
+their layout."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,6 +74,34 @@ def reference_backward(loss: Tensor):
                 parent.grad = g.copy()
             else:
                 parent.grad += g
+
+
+def attention_reference(q, k, v, num_heads: int, g):
+    """Output and (q, k, v) gradients, for output gradient g, of multi-head
+    attention over (b, t, d) arrays, computed as the numpy calls of 4 reshapes,
+    5 transposes, 2 batched matmuls, a scalar mul and a softmax that it once
+    was: each gradient is computed from the operands those ops held, and each
+    view a gradient op made is copied C-ordered, as the backward walk does."""
+    b, t, d = q.shape
+    dh = d // num_heads
+    qh, kh, vh = (np.transpose(x.reshape(b, t, num_heads, dh), (0, 2, 1, 3)) for x in (q, k, v))
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    s = (qh @ kt) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    out = np.transpose(att @ vh, (0, 2, 1, 3)).reshape(b, t, d)
+
+    def merge(x):  # the transpose and reshape back to (b, t, d), each gradient copied
+        return np.transpose(x, (0, 2, 1, 3)).copy().reshape(b, t, d).copy()
+
+    gctx = np.transpose(g.reshape(b, t, num_heads, dh), (0, 2, 1, 3)).copy()
+    gatt = gctx @ np.swapaxes(vh, -1, -2)
+    gv = np.swapaxes(att, -1, -2) @ gctx
+    gs = att * (gatt - (gatt * att).sum(axis=-1, keepdims=True)) * scale
+    gq = gs @ np.swapaxes(kt, -1, -2)
+    gkt = np.swapaxes(qh, -1, -2) @ gs
+    return out, [merge(gq), merge(np.transpose(gkt, (0, 1, 3, 2)).copy()), merge(gv)]
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

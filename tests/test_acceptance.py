@@ -21,7 +21,7 @@ from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash, trainable_par
 from ltt.metrics import ece
 from ltt.optim import AdamW
 from ltt.pretrain import pretrain
-from ltt.tensor import Tensor, no_grad
+from ltt.tensor import Tensor
 from ltt.ttt import (TttConfig, build_encoder_for_mode, entropy_np, episode_rng,
                      mem_loss, mae_loss, run_episode, run_stream, select_confident)
 from ltt.views import normalize, sample_mask
@@ -172,9 +172,8 @@ def test_criterion_3_episodic_reset(bench):
 
     def zero_shot_probs(img):
         view0 = normalize(img, model.norm_mean, model.norm_std)
-        with no_grad():
-            cls, _ = model.encode_image_batch(view0[None])
-            return classify_batch(T.reshape(cls, (1, 64)), table, model.tau).data[0]
+        cls, _ = model.encode_image_batch(view0[None])
+        return classify_batch(T.reshape(cls, (1, 64)), table, model.tau).data[0]
 
     before = zero_shot_probs(items[0].image)
     cfg = TttConfig(mode="lora_ttt", seed=5)

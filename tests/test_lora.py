@@ -87,9 +87,8 @@ def test_zero_b_adapted_forward_is_bit_identical_to_base(tiny_model):
                              np.random.default_rng(31))
     rng = np.random.default_rng(32)
     views = rng.uniform(0, 1, size=(64, 3, 32, 32)).astype(np.float32)
-    with T.no_grad():
-        base_cls, base_tok = tiny_model.encode_image_batch(views)
-        cls, tok = adapted.encode_image_batch(views)
+    base_cls, base_tok = tiny_model.encode_image_batch(views)
+    cls, tok = adapted.encode_image_batch(views)
     assert np.array_equal(cls.data, base_cls.data)
     assert np.array_equal(tok.data, base_tok.data)
     with Tape() as tape:

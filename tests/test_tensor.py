@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ltt import tensor as T
-from ltt.tensor import ShapeError, Tape, Tensor, backward, no_grad
+from ltt.tensor import ShapeError, Tape, Tensor, backward
 
-from helpers import check_gradients, reference_backward
+from helpers import attention_reference, check_gradients, reference_backward
 
 F64 = np.float64
 
@@ -120,10 +120,6 @@ def test_no_recording_outside_tape():
     y = T.mul(x, x)
     assert y._node is None
     with Tape() as tape:
-        with no_grad():
-            z = T.mul(x, x)
-        assert z._node is None
-        assert tape.num_nodes == 0
         T.mul(x, x)
         assert tape.num_nodes == 1
 
@@ -134,22 +130,15 @@ def test_linear_matches_matmul_of_transposed_weight_bitexact(bias):
     x, w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                for s in [(4, 17, 64), (48, 64), (48,)])
     g = Tensor(rng.normal(size=(4, 17, 48)).astype(np.float32))
-
-    def run(forward):
-        for leaf in (x, w, b):
-            leaf.grad = None
-        with Tape():
-            y = forward()
-            backward(T.tsum(T.mul(y, g)))
-        return [y.data, x.grad, w.grad, b.grad]
-
-    def reference():
-        # the op sequence every weight product ran before linear existed
-        y = T.matmul(x, T.transpose(w, (1, 0)))
-        return T.add(y, b) if bias else y
-
-    new, old = run(lambda: T.linear(x, w, b if bias else None)), run(reference)
-    for a, c in zip(new, old):
+    with Tape():
+        y = T.linear(x, w, b if bias else None)
+        backward(T.tsum(T.mul(y, g)))  # y's gradient is g, bit for bit
+    # the numpy calls of matmul(x, transpose(w)) and add(., b), the ops every
+    # weight product ran before linear existed
+    xd, wd, gd = x.data, w.data, g.data
+    old = [xd @ wd.T + b.data if bias else xd @ wd.T, gd @ wd,
+           (np.swapaxes(xd, -1, -2) @ gd).sum(axis=0).T, gd.sum(axis=(0, 1)) if bias else None]
+    for a, c in zip([y.data, x.grad, w.grad, b.grad], old):
         assert (a is None and c is None) or np.array_equal(a, c)
 
 
@@ -262,6 +251,36 @@ def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
         assert full[k] is not None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tracked", ["qkv", "qk", "qv", "kv", "q", "k", "v"])
+def test_attention_matches_the_op_composition_bitexact(tracked, dtype):
+    rng = np.random.default_rng(43)
+    for shape, num_heads in [((8, 17, 64), 4), ((3, 5, 6), 2)]:
+        arrays = [rng.normal(0, 1, shape).astype(dtype) for _ in "qkv"]
+        g = rng.normal(size=shape).astype(dtype)
+        leaves = [Tensor(a.copy(), requires_grad=m in tracked) for m, a in zip("qkv", arrays)]
+        with Tape():
+            y = T.attention(*leaves, num_heads)
+            # the closure computes a gradient for the tracked inputs only; it
+            # holds the probabilities, the scale and the head views it reads:
+            # q's for k's gradient, k's for q's, v's for either
+            assert [a is not None for a in y._node.backward(g.copy())] == [
+                m in tracked for m in "qkv"]
+            held = [c.cell_contents for c in y._node.backward.__closure__
+                    if isinstance(c.cell_contents, np.ndarray)]
+            b, t, d = shape
+            assert sorted(a.shape for a in held if a.base is None) == [(), (b, num_heads, t, t)]
+            reads = {"q": "k" in tracked, "k": "q" in tracked,
+                     "v": "q" in tracked or "k" in tracked}
+            assert ({id(a.base) for a in held if a.base is not None}
+                    == {id(leaf.data) for m, leaf in zip("qkv", leaves) if reads[m]})
+            backward(T.tsum(T.mul(y, Tensor(g))))  # y's gradient is g, bit for bit
+        want_y, want_grads = attention_reference(*arrays, num_heads, g)
+        assert same_bits(y.data, want_y)
+        for m, leaf, want in zip("qkv", leaves, want_grads):
+            assert same_bits(leaf.grad, want) if m in tracked else leaf.grad is None
+
+
 # ---------------------------------------------------------------------------
 # backward consumes its graph
 
@@ -314,17 +333,22 @@ def test_forward_frees_the_arrays_backward_does_not_read(monkeypatch):
                for n, s, _ in param_layout(VitConfig(), TextConfig(vocab_size=4))
                if n.startswith(("img.layers.0.", "img.layers.1."))}
     x = Tensor(rng.normal(size=(8, 17, 64)).astype(np.float32))
-    freed = {"add": [], "matmul": [], "frozen_linear_input": []}
-    add, matmul, linear = T.add, T.matmul, T.linear
+    freed = {"add": [], "frozen_linear_input": []}
+    held = []  # per attention node: its closure's own arrays, and whether its views are q, k, v
+    add, attention, linear = T.add, T.attention, T.linear
 
     def traced_add(a, b):
         out = add(a, b)
         freed["add"].append(weakref.ref(out.data))
         return out
 
-    def traced_matmul(a, b):
-        out = matmul(a, b)
-        freed["matmul"].append(weakref.ref(out.data))
+    def traced_attention(q, k, v, num_heads):
+        out = attention(q, k, v, num_heads)
+        cells = [c.cell_contents for c in out._node.backward.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        bases = {id(a.base) for a in cells if a.base is not None}
+        held.append((sorted(a.shape for a in cells if a.base is None),
+                     bases == {id(x.data) for x in (q, k, v)}))
         return out
 
     def traced_linear(h, w, b=None):
@@ -333,7 +357,7 @@ def test_forward_frees_the_arrays_backward_does_not_read(monkeypatch):
         return linear(h, w, b)
 
     monkeypatch.setattr(T, "add", traced_add)
-    monkeypatch.setattr(T, "matmul", traced_matmul)
+    monkeypatch.setattr(T, "attention", traced_attention)
     monkeypatch.setattr(T, "linear", traced_linear)
     with Tape():
         h = x
@@ -341,10 +365,13 @@ def test_forward_frees_the_arrays_backward_does_not_read(monkeypatch):
             h = _block(h, weights, f"img.layers.{i}", num_heads=4)
         loss = T.mean(T.mul(h, h))
         last = freed["add"].pop()  # the block output, which h still holds
-        # per block: two residual adds, scores and context, the MLP's two inputs
-        assert [len(refs) for refs in freed.values()] == [3, 4, 4]
+        # per block: two residual adds and the MLP's two inputs
+        assert [len(refs) for refs in freed.values()] == [3, 4]
         for kind, refs in freed.items():
             assert all(ref() is None for ref in refs), kind
+        # the attention node keeps the probabilities, the scale and a head view of
+        # each tracked input, but no scores or per-head context array
+        assert held == [([(), (8, 4, 17, 17)], True)] * 2
         assert last() is h.data
         assert loss._tracked()  # the graph is alive, and still walks
         backward(loss)
@@ -359,6 +386,15 @@ def test_backward_rejects_a_loss_without_graph():
         backward(x)
 
 
+def transpose(a: Tensor) -> Tensor:
+    """A 2-D transpose built from numpy calls as an op: its closure hands back a
+    transposed view, which backward must copy and not adopt."""
+    def backward(g):
+        return (g.T,)
+
+    return T._make(a.data.T, (a,), backward)
+
+
 # op -> leaf shapes; between them the closures hand their parents views, one
 # array twice and fresh arrays, and backward may adopt only the fresh ones
 ALIASING = {
@@ -366,7 +402,8 @@ ALIASING = {
     "add_equal_shapes": (lambda a, b: T.add(a, b), [(4, 6), (4, 6)]),
     "add_broadcast": (lambda a, b: T.add(a, b), [(4, 6), (6,)]),
     "concat": (lambda a, b: T.concat([a, b], axis=1), [(4, 2), (4, 4)]),
-    "reshape_transpose": (lambda a: T.transpose(T.reshape(a, (6, 4)), (1, 0)), [(4, 3, 2)]),
+    "reshape_transpose": (lambda a: transpose(T.reshape(a, (6, 4))), [(4, 3, 2)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, 2), [(2, 3, 4)] * 3),
     "linear": (lambda x, w, b: T.linear(x, w, b), [(2, 4, 5), (6, 5), (6,)]),
     "mul_same_leaf": (lambda x: T.mul(x, x), [(4, 6)]),
 }
@@ -434,8 +471,6 @@ CASES = {
     "mul": (lambda a, b: T.mul(a, b), [(2, 3), (2, 3)]),
     "mul_broadcast": (lambda a, b: T.mul(a, b), [(2, 3), (1, 3)]),
     "matmul": (lambda a, b: T.matmul(a, b), [(2, 3), (3, 4)]),
-    "matmul_batched": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (4, 2)]),
-    "matmul_batched2": (lambda a, b: T.matmul(a, b), [(2, 2, 3), (2, 3, 2)]),
     "linear": (lambda x, w, b: T.linear(x, w, b), [(2, 3, 4), (5, 4), (5,)]),
     "linear_no_bias": (lambda x, w: T.linear(x, w), [(3, 4), (2, 4)]),
     "mean_all": (lambda a: T.mean(a), [(3, 4)]),
@@ -444,7 +479,7 @@ CASES = {
     "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
     "index_select": (lambda a: T.index_select(a, [2, 0, 2], axis=0), [(3, 4)]),
     "slice": (lambda a: T.slice_axis(a, 1, 1, 3), [(2, 4)]),
-    "reshape_transpose": (lambda a: T.transpose(T.reshape(a, (2, 6)), (1, 0)), [(3, 4)]),
+    "reshape_transpose": (lambda a: transpose(T.reshape(a, (2, 6))), [(3, 4)]),
     "broadcast_to": (lambda a: T.broadcast_to(a, (4, 2, 3)), [(1, 2, 3)]),
     "gelu": (lambda a: T.gelu(a), [(3, 4)]),
     "layer_norm": (lambda a, g, b: T.layer_norm(a, g, b), [(3, 4), (4,), (4,)]),
@@ -453,6 +488,7 @@ CASES = {
     "l2_normalize": (lambda a: T.l2_normalize(a, axis=-1), [(3, 4)]),
     "exp": (lambda a: T.exp(a), [(3, 4)]),
     "mse": (lambda a, b: T.mse(a, b), [(3, 4), (3, 4)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, 2), [(2, 3, 4)] * 3),
     "entropy": (None, [(6,)]),  # built below: needs a positive distribution
 }
 
@@ -484,6 +520,12 @@ def test_gradcheck_primitive(name):
 def test_shape_error_messages():
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="matmul"):  # two matrices only
+        T.matmul(t(np.ones((2, 2, 3))), t(np.ones((3, 2))))
+    with pytest.raises(ShapeError, match="attention"):  # 6 columns do not split into 4 heads
+        T.attention(*(t(np.ones((2, 3, 6))) for _ in "qkv"), 4)
+    with pytest.raises(ShapeError, match="attention"):
+        T.attention(t(np.ones((2, 3, 8))), t(np.ones((2, 3, 8))), t(np.ones((2, 4, 8))), 4)
     with pytest.raises(ShapeError, match="linear"):
         T.linear(t(np.ones((2, 3))), t(np.ones((3, 2))))
     with pytest.raises(ShapeError, match="linear"):

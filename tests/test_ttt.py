@@ -13,7 +13,7 @@ from ltt.encoder import (ClipModel, TextConfig, VitConfig, Vocab, build_text_tab
 from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash
 from ltt.pretrain import lora_pretrain
 from ltt.serial import config_from_json
-from ltt.tensor import Tape, Tensor, backward, no_grad
+from ltt.tensor import Tape, Tensor, backward
 from ltt.ttt import (EpisodeResult, TttConfig,
                      build_encoder_for_mode, entropy_np, episode_rng,
                      mae_loss, mem_loss, run_episode, run_stream, select_confident,
@@ -228,9 +228,8 @@ def test_mae_loss_empty_selection(setup):
 
 def zero_shot_prediction(model, table, image):
     view0 = normalize(image, model.norm_mean, model.norm_std)
-    with no_grad():
-        cls, _ = model.encode_image_batch(view0[None])
-        probs = classify_batch(cls, table, model.tau).data[0]
+    cls, _ = model.encode_image_batch(view0[None])
+    probs = classify_batch(cls, table, model.tau).data[0]
     return int(np.argmax(probs)), probs
 
 
@@ -355,6 +354,17 @@ def test_tape_nodes_do_not_grow_with_selected_views(setup):
     assert nodes[0] == nodes[1]
 
 
+@pytest.mark.parametrize("mode,nodes", [("lora_ttt", 116), ("lora_ttt_a", 107),
+                                        ("full_tune", 68), ("lora_ttt_m", 61)])
+def test_peak_tape_nodes_per_mode(setup, mode, nodes):
+    # each adapted block's attention is one node; as 13 ops it gave 164, 155, 116 and 85
+    model, table, items = setup
+    cfg = small_cfg(mode=mode)
+    ep = run_episode(items[3], build_encoder_for_mode(model, cfg), table, cfg,
+                     episode_rng(cfg.seed, items[3].id))
+    assert ep.peak_tape_nodes == nodes
+
+
 def post_step_b(model, table, item, cfg):
     """The adapters' B matrices after the step, read at the closing reset."""
     encoder = build_encoder_for_mode(model, cfg)
@@ -463,8 +473,7 @@ def test_zero_shot_resizes_view0_like_adapting_modes(setup):
     ep = run_episode(item, build_encoder_for_mode(model, cfg), table, cfg, episode_rng(0, item.id))
     view0 = make_views(image, 1, np.random.default_rng(0), model.norm_mean, model.norm_std,
                        model.vit.image_size)
-    with no_grad():
-        probs = classify_batch(model.encode_image_batch(view0)[0], table, model.tau).data[0]
+    probs = classify_batch(model.encode_image_batch(view0)[0], table, model.tau).data[0]
     assert np.array_equal(np.asarray(ep.probs, dtype=np.float32), probs)
 
 
