@@ -38,7 +38,7 @@ def ece(confidences, correct_flags, num_bins: int = 20) -> EceReport:
         raise ValueError("empty inputs")
     if conf.size != corr.size:
         raise ValueError(f"length mismatch: {conf.size} vs {corr.size}")
-    if conf.min() < 0.0 or conf.max() > 1.0:
+    if not np.all((conf >= 0.0) & (conf <= 1.0)):  # a NaN fails both comparisons
         raise ValueError("confidences must lie in [0, 1]")
     edges = np.array([k / num_bins for k in range(num_bins + 1)])
     bins = np.searchsorted(edges, conf, side="left")

@@ -38,11 +38,18 @@ class AdamW:
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
         for name, p in self.params.items():
-            g, m, v = p.grad, self.m[name], self.v[name]
-            m[...] = BETA1 * m + (1.0 - BETA1) * g
-            v[...] = BETA2 * v + (1.0 - BETA2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            w = p.data
-            p.data = w - self.lr * (mhat / (np.sqrt(vhat) + EPS)) - self.lr * self.wd * w
+            # w - lr * (m/bc1 / (sqrt(v/bc2) + eps)) - lr*wd * w, in place; out= keeps 0-d arrays
+            g, m, v, w = p.grad, self.m[name], self.v[name], p.data
+            tmp = np.multiply(g, 1.0 - BETA1, out=np.empty_like(w))
+            m *= BETA1
+            m += tmp
+            v *= BETA2
+            v += np.multiply(np.multiply(g, 1.0 - BETA2, out=tmp), g, out=tmp)
+            np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+            tmp += EPS
+            new = np.divide(m, bc1, out=np.empty_like(w))
+            new /= tmp
+            new *= self.lr
+            p.data = np.subtract(w, new, out=new)
+            p.data -= np.multiply(w, self.lr * self.wd, out=tmp)
             p.grad = None

@@ -18,7 +18,7 @@ FLOAT_DTYPES = (np.float32, np.float64)
 GELU_K0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_K1 = 0.044715
 LAYERNORM_EPS = 1e-5
-GELU_BLOCK = 1 << 16  # elements per slope block: gelu's temporaries stay this size
+BLOCK = 1 << 16  # elements per block of gelu and of linear's weight gradient: their scratch size
 
 
 class ShapeError(ValueError):
@@ -207,14 +207,30 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         data += b.data
     need_x, need_w, need_b = x._tracked(), w._tracked(), b is not None and b._tracked()
     x_data, w_data = (x.data if need_w else None), (w.data if need_x else None)
-    wt_shape, b_shape = w.shape[::-1], None if b is None else b.shape
+    b_shape = None if b is None else b.shape
 
     def backward(g):
         gx = g @ w_data if need_x else None
-        gw = _unbroadcast(np.swapaxes(x_data, -1, -2) @ g, wt_shape).T if need_w else None
+        gw = _weight_grad(x_data, g).T if need_w else None
         return gx, gw, _unbroadcast(g, b_shape) if need_b else None
 
     return _make(data, (x, w) if b is None else (x, w, b), backward)
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Σ_b x_bᵀ g_b over the leading indices b of x (..., n, in) and g (..., n, out) with the
+    bits of `(swapaxes(x) @ g).sum(leading axes)`, whose axis-0 sum adds slice after slice,
+    but one batched product of a block of b at a time, after the running sum in slot 0."""
+    if x.ndim == 2:
+        return x.T @ g
+    x, g = np.swapaxes(x.reshape(-1, *x.shape[-2:]), 1, 2), g.reshape(-1, *g.shape[-2:])
+    per = max(1, BLOCK // (x.shape[1] * g.shape[2]))
+    buf = np.zeros((min(per, len(x)) + 1, x.shape[1], g.shape[2]), x.dtype)
+    for i in range(0, len(x), per):
+        s, k = min(i, 1), min(per, len(x) - i)  # the first block has no running sum yet
+        np.matmul(x[i:i + k], g[i:i + k], out=buf[s:s + k])
+        buf[0] = buf[:s + k].sum(axis=0)
+    return buf[0]
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -318,36 +334,39 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation, fixed so outputs agree across implementations:
-    # 0.5 * x * (1 + tanh(K0 * (x + K1 * x^3))), in place in this order
+    # tanh approximation, fixed so outputs agree across implementations: 0.5 * x * (1 + t),
+    # t = tanh(K0 * (x + K1 * x^3)), and for a tracked input the slope 0.5 * (1 + t) + 0.5 * x *
+    # (1 - t^2) * K0 * (1 + 3 * K1 * x^2); in this order, in place, one block at a time
     x = a.data
-    t = x * x
-    t *= x
-    t *= GELU_K1
-    t += x
-    t *= GELU_K0
-    np.tanh(t, out=t)
-    data = x * 0.5
-    data *= t + 1.0
-    slope = _gelu_slope(x, t) if active_tape() is not None and a._tracked() else None
+    data = np.empty(x.shape, x.dtype)  # C order, so the flat views below write into it
+    slope = np.empty(x.shape, x.dtype) if active_tape() is not None and a._tracked() else None
+    xs, ds, ss = (None if y is None else y.reshape(-1) for y in (x, data, slope))
+    t, u, v = (np.empty(min(BLOCK, x.size), x.dtype) for _ in range(3))
+    for i in range(0, x.size, BLOCK):
+        xb, db = xs[i:i + BLOCK], ds[i:i + BLOCK]
+        tb, ub, vb = t[:xb.size], u[:xb.size], v[:xb.size]
+        np.multiply(np.multiply(xb, xb, out=tb), xb, out=tb)
+        tb *= GELU_K1
+        tb += xb
+        tb *= GELU_K0
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ub)
+        np.multiply(np.multiply(xb, 0.5, out=vb), ub, out=db)
+        if ss is None:
+            continue
+        ub *= 0.5
+        vb *= np.subtract(1.0, np.multiply(tb, tb, out=tb), out=tb)
+        np.multiply(np.multiply(xb, xb, out=tb), 3.0 * GELU_K1, out=tb)
+        tb += 1.0
+        tb *= GELU_K0
+        tb *= vb
+        np.add(tb, ub, out=ss[i:i + BLOCK])
 
     def backward(g):
         # backward runs a closure once, so the slope can become the gradient
         return (np.multiply(slope, g, out=slope),)
 
     return _make(data, (a,), backward)
-
-
-def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu/dx from x and the forward's tanh t, one block of elements at a time."""
-    slope = np.empty(t.shape, t.dtype)  # C order, so ss below is a view of it
-    xs, ts, ss = x.reshape(-1), t.reshape(-1), slope.reshape(-1)
-    for i in range(0, ss.size, GELU_BLOCK):
-        xb, tb = xs[i:i + GELU_BLOCK], ts[i:i + GELU_BLOCK]
-        half = xb * 0.5 * (1.0 - tb * tb)
-        ss[i:i + GELU_BLOCK] = ((xb * xb * (3.0 * GELU_K1) + 1.0) * GELU_K0 * half
-                               + (tb + 1.0) * 0.5)
-    return slope
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:

@@ -13,6 +13,7 @@ CROP_AREA_RANGE = (0.3, 1.0)
 CROP_ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 FLIP_PROB = 0.5
 MAX_CROP_TRIES = 10
+CROP_BLOCK = 16  # crops resampled per pass: the pass's float64 temporaries stay this size
 
 
 def sample_mask(num_patches: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -81,15 +82,19 @@ def _random_crop_box(h: int, w: int, rng: np.random.Generator,
 def random_resized_crop(imgs: np.ndarray, rng: np.random.Generator, out_size: int,
                         area_range=CROP_AREA_RANGE) -> np.ndarray:
     """(n,C,H,W) -> (n,C,S,S): one crop-resize-flip draw per image, shared by
-    view generation and pretraining. Draws box then flip, image by image, and
-    resamples all crops in one pass."""
-    n, _, h, w = imgs.shape
+    view generation and pretraining. Draws box then flip, image by image, then
+    resamples the crops CROP_BLOCK at a time; each crop is computed on its own."""
+    n, c, h, w = imgs.shape
     boxes = np.empty((n, 4), dtype=np.int64)
     flips = np.empty(n, dtype=bool)
     for i in range(n):
         boxes[i] = _random_crop_box(h, w, rng, area_range)
         flips[i] = rng.random() < FLIP_PROB
-    return _bilinear(imgs, boxes, out_size, out_size, flips)
+    out = np.empty((n, c, out_size, out_size), imgs.dtype)
+    for i in range(0, n, CROP_BLOCK):
+        blk = slice(i, i + CROP_BLOCK)
+        out[blk] = _bilinear(imgs[blk], boxes[blk], out_size, out_size, flips[blk])
+    return out
 
 
 def make_views(image: np.ndarray, n: int, rng: np.random.Generator,

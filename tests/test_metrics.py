@@ -83,6 +83,12 @@ def test_ece_validation():
         ece([1.5], [True])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_ece_rejects_non_finite_confidences(bad):
+    with pytest.raises(ValueError, match="lie in"):
+        ece([bad, 0.5], [1, 0])
+
+
 def test_report_csv_shape():
     rows = [{"mode": "zero_shot", "dataset": "test", "seed": 0, "top1": 0.9,
              "ece": 0.05, "mean_mem_loss": None, "mean_mae_loss": None,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltt.optim import AdamW
+from ltt.optim import BETA1, BETA2, EPS, AdamW
 from ltt.tensor import Tensor
 
 
@@ -141,3 +141,24 @@ def test_rejects_bad_lr_and_wd(kwargs):
     name = next(iter(kwargs))
     with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
         AdamW({"w": Tensor(np.zeros(2), requires_grad=True)}, **kwargs)
+
+
+@pytest.mark.parametrize("shape", [(), (256, 64)])  # the 0-d logit scale, an MLP weight
+def test_step_keeps_the_bits_of_the_out_of_place_update(shape):
+    rng = np.random.default_rng(13)
+    w = rng.normal(size=shape).astype(np.float32)
+    p = Tensor(w.copy(), requires_grad=True)
+    opt = AdamW({"w": p}, lr=0.01, wd=0.1)
+    m = v = np.zeros_like(w)
+    for t in range(1, 4):
+        g = np.asarray(rng.normal(size=shape), dtype=np.float32)
+        p.grad, before = g, p.data
+        opt.step()
+        # the update written out of place, one temporary per operation
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        mhat, vhat = m / (1.0 - BETA1**t), v / (1.0 - BETA2**t)
+        w = w - 0.01 * (mhat / (np.sqrt(vhat) + EPS)) - 0.01 * 0.1 * w
+        assert type(p.data) is np.ndarray and p.data.shape == shape and p.data.dtype == w.dtype
+        assert p.data.tobytes() == np.asarray(w).tobytes()
+        assert not np.shares_memory(p.data, before)  # a fresh array, not the old weight

@@ -200,8 +200,7 @@ def test_kernels_match_plain_expressions_bitexact(name, dtype):
 
 
 @pytest.mark.parametrize("tracked", [True, False])
-@pytest.mark.parametrize("size", [T.GELU_BLOCK - 1, T.GELU_BLOCK, T.GELU_BLOCK + 1,
-                                  2 * T.GELU_BLOCK + 1])
+@pytest.mark.parametrize("size", [T.BLOCK - 1, T.BLOCK, T.BLOCK + 1, 2 * T.BLOCK + 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_gelu_slope_blocks_keep_the_bits_of_the_plain_expression(transposed, dtype, size,
@@ -221,6 +220,80 @@ def test_gelu_slope_blocks_keep_the_bits_of_the_plain_expression(transposed, dty
     want_y, (want_grad,) = gelu_expr(x, g)
     assert same_bits(y.data, want_y)
     assert same_bits(leaf.grad, want_grad) if tracked else leaf.grad is None
+
+
+def gelu_two_pass(x):
+    """gelu's value and slope from a full-size tanh, the slope formed out of place:
+    the reference that the one-pass blocked kernel matches bit for bit."""
+    x = x.reshape(-1)
+    t_ = x * x
+    t_ *= x
+    t_ *= T.GELU_K1
+    t_ += x
+    t_ *= T.GELU_K0
+    np.tanh(t_, out=t_)
+    y = x * 0.5
+    y *= t_ + 1.0
+    half = x * 0.5 * (1.0 - t_ * t_)
+    slope = (x * x * (3.0 * T.GELU_K1) + 1.0) * T.GELU_K0 * half + (t_ + 1.0) * 0.5
+    return y, slope
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, transposed", [
+    ((), False), ((0,), False), ((0, 3), False), ((7,), False),
+    ((3, T.BLOCK // 2 + 5), False),  # 1.5 blocks and a few elements
+    ((64, 17, 256), False), ((T.BLOCK + 9, 2), True)], ids=str)
+def test_gelu_keeps_the_bits_of_the_two_pass_kernel(shape, transposed, dtype):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(0, 3.0, shape[::-1] if transposed else shape).astype(dtype)
+    x = x.T if transposed else x  # a Fortran-ordered input
+    g = rng.normal(size=x.shape).astype(dtype)
+    leaf = Tensor(x.copy(order="K"), requires_grad=True)
+    assert leaf.data.flags.c_contiguous != transposed
+    with Tape():
+        y = T.gelu(leaf)
+        backward(T.tsum(T.mul(y, Tensor(g))))  # y's gradient is g, bit for bit
+    want_y, want_slope = gelu_two_pass(np.ascontiguousarray(x))
+    assert same_bits(y.data, want_y.reshape(shape)) and type(y.data) is np.ndarray
+    assert same_bits(leaf.grad, (want_slope * g.reshape(-1)).reshape(shape))
+    assert same_bits(T.gelu(Tensor(x)).data, y.data)  # no tape: the value alone
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, out", [
+    ((5, 64), 48),  # 2-D: one product
+    ((1, 9, 8), 5), ((3, 17, 64), 256),  # fewer products than one block
+    ((37, 17, 64), 64),  # 16 per block: two blocks and 5
+    ((64, 17, 64), 256),  # 4 per block: exactly 16 blocks
+    ((2, 3, 17, 64), 256),  # 4-D: 6 products, a block and a half
+    ((3, 4, 300), 256)], ids=str)  # in * out above the budget: one product per block
+def test_linear_weight_gradient_keeps_the_bits_of_one_summed_stack(x_shape, out, dtype):
+    rng = np.random.default_rng(x_shape[-1] + out)
+    x = Tensor(rng.normal(size=x_shape).astype(dtype))
+    w = Tensor(rng.normal(size=(out, x_shape[-1])).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(*x_shape[:-1], out)).astype(dtype)
+    with Tape():
+        backward(T.tsum(T.mul(T.linear(x, w), Tensor(g))))  # the product's gradient is g
+    want = T._unbroadcast(np.swapaxes(x.data, -1, -2) @ g, (x_shape[-1], out)).T
+    assert same_bits(w.grad, want)
+
+
+def test_linear_weight_gradient_allocates_less_than_the_stack_of_products():
+    rng = np.random.default_rng(47)
+    x = Tensor(rng.normal(size=(64, 17, 64)).astype(np.float32))
+    w = Tensor(rng.normal(size=(256, 64)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(64, 17, 256)).astype(np.float32)
+    with Tape():
+        y = T.linear(x, w)
+    tracemalloc.start()
+    try:
+        _, gw = y._node.backward(g)[:2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gw.shape == (256, 64)
+    assert peak < 64 * 64 * 256 * 4  # one (64, 64, 256) float32 stack of x_bᵀ g_b
 
 
 def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
