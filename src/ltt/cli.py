@@ -60,7 +60,7 @@ def cmd_embed_text(args) -> int:
 
 def cmd_lora_pretrain(args) -> int:
     model = ClipModel.load(args.ckpt)
-    pairs = load_pairs(args.data, "train")
+    pairs = load_pairs(args.data)
     lora_cfg = config_from_json(LoraConfig, _load_json(args.lora)) if args.lora else LoraConfig()
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x10AD]))
     encoder, losses = lora_pretrain(model, pairs, args.epochs, rng, lora_cfg,

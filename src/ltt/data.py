@@ -347,10 +347,11 @@ def load_split(data_dir, split: str, manifest: DatasetManifest | None = None) ->
     return [Instance(it["id"], _read_image(root, it), it["label"]) for it in rows]
 
 
-def load_pairs(data_dir, split: str = "train", manifest=None) -> list[tuple[np.ndarray, str]]:
+def load_pairs(data_dir, manifest=None) -> list[tuple[np.ndarray, str]]:
+    """The (image, caption) pairs of the train split."""
     root = Path(data_dir)
     manifest = manifest or DatasetManifest.load(root / "manifest.json")
-    rows = manifest.items_for_split(split)
+    rows = manifest.items_for_split("train")
     for it in rows:  # only training needs captions, so validate leaves them out
         if not isinstance(it.get("caption"), str):
             raise ValueError(f"item {it['id']!r} has no string caption")

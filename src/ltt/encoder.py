@@ -194,6 +194,9 @@ class ClipModel:
 
     def __init__(self, vit: VitConfig, txt: TextConfig, vocab: Vocab,
                  arrays: dict[str, np.ndarray]):
+        if vit.out_dim != txt.out_dim:  # meta.config stores one out_dim for both towers
+            raise ValueError(f"image out_dim {vit.out_dim} != text out_dim {txt.out_dim}: "
+                             f"both towers project into one embedding space")
         self.vit = vit
         self.txt = txt
         self.vocab = vocab
@@ -369,9 +372,9 @@ def classify_batch(class_embs: Tensor, table: TextFeatureTable, tau: float) -> T
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     feats = Tensor(np.asarray(table.features, dtype=class_embs.data.dtype))
-    v = T.l2_normalize(class_embs, axis=-1)
+    v = T.l2_normalize(class_embs)
     cos = T.linear(v, feats)
-    return T.softmax(T.mul(cos, 1.0 / tau), axis=-1)
+    return T.softmax(T.mul(cos, 1.0 / tau))
 
 
 def build_text_table(model: ClipModel, class_names: list[str],

@@ -23,6 +23,7 @@ from .views import normalize, random_resized_crop, resize_bilinear
 PRETRAIN_CROP_RANGE = (0.5, 1.0)  # milder than test-time crops: shapes are localized
 PRETRAIN_LR = 1e-3
 PRETRAIN_WD = 0.1
+LORA_PRETRAIN_WD = 0.05
 
 
 def keep_freed_memory():
@@ -46,7 +47,7 @@ def _encode_captions(model: ClipModel, caption_ids: list[list[int]]):
         order.extend(group)
     stacked = T.concat(chunks, axis=0) if len(chunks) > 1 else chunks[0]
     inverse = np.argsort(order)
-    return T.l2_normalize(T.index_select(stacked, inverse, axis=0), axis=-1)
+    return T.l2_normalize(T.index_select(stacked, inverse, axis=0))
 
 
 def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
@@ -61,7 +62,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     keep_freed_memory()
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
-    pairs = load_pairs(root, "train", manifest)
+    pairs = load_pairs(root, manifest)
     if not pairs:
         raise ValueError("train split is empty")
     if batch_size > len(pairs):
@@ -109,7 +110,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
             opt_b.lr = lr
             with Tape():
                 cls, _ = model.encode_image_batch(batch_imgs)
-                img_emb = T.l2_normalize(cls, axis=-1)
+                img_emb = T.l2_normalize(cls)
                 txt_all = _encode_captions(model, caption_ids)
                 txt_emb = T.index_select(txt_all, pair_caption[idx], axis=0)
                 scale = T.exp(model.params["logit_scale"])
@@ -128,8 +129,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
 
 def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs: int,
                   rng: np.random.Generator, lora_cfg: LoraConfig | None = None,
-                  lr: float = 1e-4, wd: float = 0.05,
-                  batch_size: int = 64) -> tuple[AdaptedEncoder, list[float]]:
+                  lr: float = 1e-4, batch_size: int = 64) -> tuple[AdaptedEncoder, list[float]]:
     """Contrastive pre-initialization of the adapter weights only.
 
     The base stays frozen; text features are precomputed since no text
@@ -146,7 +146,7 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
     for _, caption in pairs:
         if caption not in caption_feats:
             emb = model.encode_text_batch([model.vocab.encode(caption)])
-            caption_feats[caption] = T.l2_normalize(emb, axis=-1).data[0]
+            caption_feats[caption] = T.l2_normalize(emb).data[0]
 
     size = model.vit.image_size
     images = np.stack([normalize(resize_bilinear(img, size, size), model.norm_mean,
@@ -155,9 +155,9 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
 
     def batch_loss(idx: np.ndarray) -> Tensor:
         cls, _ = encoder.encode_image_batch(images[idx])
-        return contrastive_loss(T.l2_normalize(cls, axis=-1), Tensor(text_rows[idx]), scale)
+        return contrastive_loss(T.l2_normalize(cls), Tensor(text_rows[idx]), scale)
 
-    opt = AdamW(encoder.trainables, lr, wd)
+    opt = AdamW(encoder.trainables, lr, LORA_PRETRAIN_WD)
     losses: list[float] = []
     n = len(pairs)
     for _ in range(epochs):

@@ -8,6 +8,7 @@ order and frees them as it goes. Outside a tape ops are pure numpy forwards.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Callable, Optional, Sequence
 
@@ -18,6 +19,7 @@ FLOAT_DTYPES = (np.float32, np.float64)
 GELU_K0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_K1 = 0.044715
 LAYERNORM_EPS = 1e-5
+L2_EPS = 1e-12  # floor of l2_normalize's norm
 BLOCK = 1 << 16  # elements per block of gelu and of linear's weight gradient: their scratch size
 
 
@@ -54,13 +56,12 @@ def active_tape() -> Optional[Tape]:
 
 
 class _Node:
-    """A recorded op: closure, parents, incoming gradient, output shape and dtype."""
+    """A recorded op: closure, parents and incoming gradient."""
 
-    __slots__ = ("backward", "parents", "grad", "shape", "dtype")
+    __slots__ = ("backward", "parents", "grad")
 
-    def __init__(self, backward: Callable, parents: tuple, out: np.ndarray):
+    def __init__(self, backward: Callable, parents: tuple):
         self.backward, self.parents, self.grad = backward, parents, None
-        self.shape, self.dtype = out.shape, out.dtype  # not the array itself
 
     def _tracked(self) -> bool:
         return self.backward is not None  # a walked node is spent
@@ -69,10 +70,8 @@ class _Node:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
@@ -121,7 +120,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
     out = Tensor(data)
     tape = active_tape()
     if tape is not None and any(p._tracked() for p in parents):
-        out._node = _Node(backward, tuple(p._graph_ref() for p in parents), out.data)
+        out._node = _Node(backward, tuple(p._graph_ref() for p in parents))
         tape.num_nodes += 1
     return out
 
@@ -134,7 +133,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad if grad.shape == shape else grad.reshape(shape)
+    return grad
 
 
 def _check_same_dtype(op: str, a: Tensor, b: Tensor):
@@ -223,8 +222,9 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     but one batched product of a block of b at a time, after the running sum in slot 0."""
     if x.ndim == 2:
         return x.T @ g
-    x, g = np.swapaxes(x.reshape(-1, *x.shape[-2:]), 1, 2), g.reshape(-1, *g.shape[-2:])
-    per = max(1, BLOCK // (x.shape[1] * g.shape[2]))
+    lead = math.prod(x.shape[:-2])  # not -1: a zero-width x or g has no size to infer it from
+    x, g = np.swapaxes(x.reshape(lead, *x.shape[-2:]), 1, 2), g.reshape(lead, *g.shape[-2:])
+    per = max(1, BLOCK // max(1, x.shape[1] * g.shape[2]))
     buf = np.zeros((min(per, len(x)) + 1, x.shape[1], g.shape[2]), x.dtype)
     for i in range(0, len(x), per):
         s, k = min(i, 1), min(per, len(x) - i)  # the first block has no running sum yet
@@ -233,25 +233,25 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return buf[0]
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+def mean(a: Tensor, axis=None) -> Tensor:
+    data = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.data.shape[axis]
     shape = a.shape
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape) / count,)
 
     return _make(data, (a,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
     shape = a.shape
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
@@ -369,7 +369,7 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if not (a.shape[-1] == gamma.shape[-1] == beta.shape[-1]
             and a.dtype == gamma.dtype == beta.dtype):
         raise ShapeError(f"layer_norm: x {a.shape} {a.dtype} vs gamma {gamma.shape} "
@@ -380,7 +380,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EP
     buf = xhat * xhat  # variance as np.var takes it: squared deviations summed, / count
     var = buf.sum(axis=-1, keepdims=True)
     var /= x.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat *= inv
     data = np.multiply(xhat, gamma.data, out=buf)
     data += beta.data
@@ -402,21 +402,22 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYERNORM_EP
     return _make(data, (a, gamma, beta), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     x = a.data
-    data = x - x.max(axis=axis, keepdims=True)
+    data = x - x.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        return (_softmax_grad(g, data, axis),)
+        return (_softmax_grad(g, data),)
 
     return _make(data, (a,), backward)
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:  # into a fresh array
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:  # into a fresh array
     buf = g * y
-    np.subtract(g, buf.sum(axis=axis, keepdims=True), out=buf)
+    np.subtract(g, buf.sum(axis=-1, keepdims=True), out=buf)
     buf *= y
     return buf
 
@@ -447,7 +448,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 
     def backward(g):
         gh = np.ascontiguousarray(g.reshape(b, t, num_heads, -1).transpose(0, 2, 1, 3))
-        gs = None if vh is None else _softmax_grad(gh @ np.swapaxes(vh, -1, -2), att, -1) * scale
+        gs = None if vh is None else _softmax_grad(gh @ np.swapaxes(vh, -1, -2), att) * scale
         return (merge(gs @ kh) if need_q else None,
                 merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)) if need_k else None,
                 merge(np.swapaxes(att, -1, -2) @ gh) if need_v else None)
@@ -468,16 +469,16 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
+def l2_normalize(a: Tensor) -> Tensor:
+    """Each row over the last axis divided by its norm, floored at L2_EPS."""
     x = a.data
-    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
-    norm = np.maximum(norm, eps)
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    norm = np.maximum(norm, L2_EPS)
     data = x / norm
-    y = data
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - y * dot) / norm,)
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        return ((g - data * dot) / norm,)
 
     return _make(data, (a,), backward)
 
@@ -556,15 +557,11 @@ def backward(loss: Tensor):
         node = topo.pop()
         closure, g_out, parents = node.backward, node.grad, node.parents
         node.grad, node.backward, node.parents = None, None, ()
-        if g_out is None:
-            continue
         grads = closure(g_out)
         for parent, raw in zip(parents, grads):
             if raw is None or parent is None or not parent._tracked():
                 continue
-            g = np.asarray(raw, dtype=parent.dtype)
-            if g.shape != parent.shape:
-                g = g.reshape(parent.shape)
+            g = np.asarray(raw)  # a full reduction's gradient can be a numpy scalar
             if parent.grad is not None:
                 parent.grad += g
             elif g.base is None and g.flags.c_contiguous and sum(o is raw for o in grads) == 1:

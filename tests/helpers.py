@@ -63,13 +63,13 @@ def reference_backward(loss: Tensor):
 
     loss._node.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node.backward is None or node.grad is None:
+        if node.backward is None:
             continue
         grads = node.backward(node.grad)
         for parent, g in zip(node.parents, grads):
             if g is None or parent is None or not parent._tracked():
                 continue
-            g = np.asarray(g, dtype=parent.dtype).reshape(parent.shape)
+            g = np.asarray(g)
             if parent.grad is None:
                 parent.grad = g.copy()
             else:

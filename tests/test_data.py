@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,7 +112,7 @@ def test_load_split_and_pairs(tmp_path):
     assert len(items) == 8
     assert items[0].image.shape == (3, 32, 32)
     assert items[0].image.dtype == np.float32
-    pairs = load_pairs(tmp_path, "train")
+    pairs = load_pairs(tmp_path)
     assert len(pairs) == 16
     with pytest.raises(ValueError, match="no items"):
         load_split(tmp_path, "missing_split")
@@ -118,13 +121,13 @@ def test_load_split_and_pairs(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_load_rejects_non_finite_images(tmp_path, bad):
     manifest = generate(small_spec(num_classes=2), tmp_path)
-    for split, load in (("test", load_split), ("train", load_pairs)):
+    for split, load in (("test", lambda d: load_split(d, "test")), ("train", load_pairs)):
         item = manifest.items_for_split(split)[1]
         img = read_tensor(tmp_path / item["path"])
         img[0, 3, 4] = bad
         write_tensor(tmp_path / item["path"], img)
         with pytest.raises(ValueError, match=item["id"]):
-            load(tmp_path, split)
+            load(tmp_path)
 
 
 def test_spec_validation():
@@ -154,3 +157,13 @@ def test_manifest_validation_catches_duplicates():
                            [{"id": "x", "path": "p", "label": 5, "caption": "", "split": "t"}])
     with pytest.raises(ValueError, match="label"):
         man2.validate()
+
+
+def test_importing_data_loads_no_episode_module():
+    # a fresh interpreter: the package's own __init__ must not pull the episode stack in
+    code = "import sys, ltt.data; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    loaded = set(proc.stdout.split())
+    assert "ltt.data" in loaded
+    assert not {"ltt.ttt", "ltt.lora", "ltt.optim"} & loaded

@@ -339,6 +339,13 @@ def test_checkpoint_round_trip_preserves_outputs(tiny_model, tmp_path):
     assert back.tau == pytest.approx(tiny_model.tau, rel=1e-6)
 
 
+def test_towers_of_different_out_dim_are_rejected(tiny_model):
+    # meta.config holds one out_dim, so such a model could not load what it saved
+    txt = dataclasses.replace(tiny_model.txt, out_dim=16)
+    with pytest.raises(ValueError, match="image out_dim 32 != text out_dim 16"):
+        ClipModel.create(tiny_model.vit, txt, tiny_model.vocab)
+
+
 @pytest.mark.parametrize("meta", [np.arange(5.0), np.array([1.0] + [np.inf] * 11)],
                          ids=["short", "inf"])
 def test_load_rejects_malformed_meta_config(tiny_model, tmp_path, meta):

@@ -279,6 +279,16 @@ def test_linear_weight_gradient_keeps_the_bits_of_one_summed_stack(x_shape, out,
     assert same_bits(w.grad, want)
 
 
+@pytest.mark.parametrize("x_shape, w_shape", [((2, 3, 0), (4, 0)), ((2, 3, 4), (0, 4))],
+                         ids=str)
+def test_linear_weight_gradient_of_a_zero_width_product_is_empty(x_shape, w_shape):
+    x = Tensor(np.ones(x_shape, np.float32))
+    w = Tensor(np.ones(w_shape, np.float32), requires_grad=True)
+    with Tape():
+        backward(T.tsum(T.linear(x, w)))
+    assert w.grad.shape == w_shape and w.grad.dtype == np.float32
+
+
 def test_linear_weight_gradient_allocates_less_than_the_stack_of_products():
     rng = np.random.default_rng(47)
     x = Tensor(rng.normal(size=(64, 17, 64)).astype(np.float32))
@@ -556,9 +566,9 @@ CASES = {
     "broadcast_to": (lambda a: T.broadcast_to(a, (4, 2, 3)), [(1, 2, 3)]),
     "gelu": (lambda a: T.gelu(a), [(3, 4)]),
     "layer_norm": (lambda a, g, b: T.layer_norm(a, g, b), [(3, 4), (4,), (4,)]),
-    "softmax": (lambda a: T.softmax(a, axis=-1), [(3, 4)]),
+    "softmax": (lambda a: T.softmax(a), [(3, 4)]),
     "log_softmax": (lambda a: T.log_softmax(a, axis=-1), [(3, 4)]),
-    "l2_normalize": (lambda a: T.l2_normalize(a, axis=-1), [(3, 4)]),
+    "l2_normalize": (lambda a: T.l2_normalize(a), [(3, 4)]),
     "exp": (lambda a: T.exp(a), [(3, 4)]),
     "mse": (lambda a, b: T.mse(a, b), [(3, 4), (3, 4)]),
     "attention": (lambda q, k, v: T.attention(q, k, v, 2), [(2, 3, 4)] * 3),
@@ -584,6 +594,42 @@ def test_gradcheck_primitive(name):
             builder = lambda op=op, leaves=leaves, w=w: T.tsum(T.mul(op(*leaves), w))
         worst = max(worst, check_gradients(builder, leaves))
     assert worst < 1e-4
+
+
+# 0-d operands: a tracked 0-d scale, a full reduction, a 0-d input
+ZERO_D = {
+    "mul_0d_scale": (lambda a, s: T.mul(a, s), [(3, 4), ()]),
+    "sum_all": (lambda a: T.tsum(a), [(3, 4)]),
+    "exp_0d": (lambda a: T.exp(a), [()]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted({**CASES, **ZERO_D}))
+def test_closures_hand_each_parent_a_gradient_of_its_shape_and_dtype(name, dtype, monkeypatch):
+    # backward wraps what a closure returns with np.asarray and neither casts nor reshapes it
+    op, shapes = {**CASES, **ZERO_D}[name]
+    op = op or T.entropy
+    made, make = {}, T._make  # node id -> the tensor it was recorded for
+
+    def recording_make(data, parents, closure):
+        out = make(data, parents, closure)
+        made[id(out._node)] = out
+        return out
+
+    monkeypatch.setattr(T, "_make", recording_make)
+    rng = np.random.default_rng(5)
+    leaves = [Tensor(rng.uniform(0.05, 1.0, s).astype(dtype), requires_grad=True)
+              for s in shapes]
+    with Tape():
+        op(*leaves)
+    assert None not in (out._node for out in made.values())
+    for out in made.values():
+        grads = out._node.backward(rng.normal(size=out.shape).astype(dtype))
+        for parent, g in zip(out._node.parents, grads):
+            want = parent if isinstance(parent, Tensor) else made[id(parent)]
+            assert isinstance(g, (np.ndarray, np.generic)), (type(g), want.shape)
+            assert (g.shape, g.dtype) == (want.shape, want.dtype)
 
 
 # ---------------------------------------------------------------------------

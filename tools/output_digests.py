@@ -30,7 +30,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-MODES = ("zero-shot", "lora-ttt", "lora-ttt-m", "lora-ttt-a", "full-tune")
 TINY_MODEL = {"embed_dim": 32, "num_layers": 2, "num_heads": 4, "mlp_ratio": 2.0,
               "out_dim": 32}
 TINY_LORA = {"rank": 2, "scale": 2.0}
@@ -50,7 +49,7 @@ def report_sha256(path: Path) -> str:
 
 
 def digests(work: Path) -> dict:
-    from ltt.cli import main
+    from ltt.cli import CLI_MODES, main
 
     def cli(*argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -89,7 +88,7 @@ def digests(work: Path) -> dict:
     cli("lora-pretrain", "--ckpt", model, "--data", data,
         "--lora", write_json("lora.json", TINY_LORA), "--out", adapters)
     out["adapters.lttw"] = sha256(adapters)
-    for mode in MODES:
+    for mode in CLI_MODES:  # every mode `ltt run` takes, in the --src tree's order
         for target in ("class_token", "visual_tokens"):
             for steps in (1, 2):
                 run(f"tiny-{mode}-{target}-{steps}", model, table, mode,
