@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -138,10 +139,10 @@ class Vocab:
         return ids
 
 
-def param_layout(vit: VitConfig, txt: TextConfig) -> list[tuple[str, tuple, tuple]]:
+def param_layout(vit: VitConfig, txt: TextConfig) -> Iterator[tuple[str, tuple, tuple]]:
     """Every weight of a model as (name, shape, init) in record order, which is
-    also the draw order. init is ("normal", std) for a N(0, std^2) draw or
-    ("fill", value) for a constant."""
+    also the draw order, one block at a time as it is read. init is ("normal",
+    std) for a N(0, std^2) draw or ("fill", value) for a constant."""
     w, one, zero = ("normal", 0.02), ("fill", 1.0), ("fill", 0.0)
 
     def block(prefix: str, d: int, h: int) -> list:
@@ -153,19 +154,20 @@ def param_layout(vit: VitConfig, txt: TextConfig) -> list[tuple[str, tuple, tupl
                       (f"{prefix}.mlp.w2", (d, h), w), (f"{prefix}.mlp.b2", (d,), zero)]
 
     d, dt = vit.embed_dim, txt.width
-    out = [("img.patch.w", (d, vit.patch_dim), w), ("img.patch.b", (d,), zero),
-           ("img.cls", (d,), w), ("img.pos", (1 + vit.num_patches, d), ("normal", 0.01))]
+    yield from [("img.patch.w", (d, vit.patch_dim), w), ("img.patch.b", (d,), zero),
+                ("img.cls", (d,), w), ("img.pos", (1 + vit.num_patches, d), ("normal", 0.01))]
     for i in range(vit.num_layers):
-        out += block(f"img.layers.{i}", d, int(d * vit.mlp_ratio))
-    out += [("img.ln_f.g", (d,), one), ("img.ln_f.b", (d,), zero),
-            ("img.proj", (vit.out_dim, d), w),
-            ("txt.tok", (txt.vocab_size, dt), w), ("txt.pos", (txt.context, dt), ("normal", 0.01))]
+        yield from block(f"img.layers.{i}", d, int(d * vit.mlp_ratio))
+    yield from [("img.ln_f.g", (d,), one), ("img.ln_f.b", (d,), zero),
+                ("img.proj", (vit.out_dim, d), w),
+                ("txt.tok", (txt.vocab_size, dt), w),
+                ("txt.pos", (txt.context, dt), ("normal", 0.01))]
     for i in range(txt.num_layers):
-        out += block(f"txt.layers.{i}", dt, 4 * dt)
-    return out + [("txt.ln_f.g", (dt,), one), ("txt.ln_f.b", (dt,), zero),
-                  ("txt.proj", (txt.out_dim, dt), w),
-                  ("logit_scale", (), ("fill", LOGIT_SCALE_INIT)),
-                  ("norm.mean", (3,), zero), ("norm.std", (3,), one)]
+        yield from block(f"txt.layers.{i}", dt, 4 * dt)
+    yield from [("txt.ln_f.g", (dt,), one), ("txt.ln_f.b", (dt,), zero),
+                ("txt.proj", (txt.out_dim, dt), w),
+                ("logit_scale", (), ("fill", LOGIT_SCALE_INIT)),
+                ("norm.mean", (3,), zero), ("norm.std", (3,), one)]
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -178,8 +180,10 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 def _block(x: Tensor, p: dict, prefix: str, num_heads: int) -> Tensor:
     h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    qkv = (T.linear(h, p[f"{prefix}.attn.w{m}"], p[f"{prefix}.attn.b{m}"]) for m in "qkv")
-    x = T.add(x, T.linear(T.attention(*qkv, num_heads), p[f"{prefix}.attn.wo"],
+    # made v, k, q because backward replays the tape in reverse: h's gradient then adds q's
+    # share, k's, then v's, the order that fixes its bits
+    v, k, q = (T.linear(h, p[f"{prefix}.attn.w{m}"], p[f"{prefix}.attn.b{m}"]) for m in "vkq")
+    x = T.add(x, T.linear(T.attention(q, k, v, num_heads), p[f"{prefix}.attn.wo"],
                           p[f"{prefix}.attn.bo"]))
 
     h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
@@ -200,20 +204,20 @@ class ClipModel:
         self.vit = vit
         self.txt = txt
         self.vocab = vocab
-        layout = {name: shape for name, shape, _ in param_layout(vit, txt)}
-        missing = [n for n in layout if n not in arrays]
-        extra = [n for n in arrays if n not in layout]
-        if missing or extra:
-            raise ValueError(f"{'missing' if missing else 'unexpected'} weight "
-                             f"{(missing or extra)[0]!r}")
-        dtype = arrays["img.patch.w"].dtype
-        for name, shape in layout.items():
-            if arrays[name].shape != shape or arrays[name].dtype != dtype:
-                raise ValueError(f"weight {name!r} is {arrays[name].dtype} {arrays[name].shape}, "
+        self.params: dict[str, Tensor] = {}
+        for name, shape, _ in param_layout(vit, txt):  # a claimed layout ends at its first gap
+            if name not in arrays:
+                raise ValueError(f"missing weight {name!r}")
+            arr, dtype = arrays[name], arrays["img.patch.w"].dtype  # every weight has the first's
+            if arr.shape != shape or arr.dtype != dtype:
+                raise ValueError(f"weight {name!r} is {arr.dtype} {arr.shape}, "
                                  f"expected {dtype} {shape}")
-            if not np.isfinite(arrays[name]).all():
+            if not np.isfinite(arr).all():
                 raise ValueError(f"weight {name!r} holds a non-finite value")
-        self.params: dict[str, Tensor] = {name: Tensor(arrays[name]) for name in layout}
+            self.params[name] = Tensor(arr)
+        extra = next((n for n in arrays if n not in self.params), None)
+        if extra is not None:
+            raise ValueError(f"unexpected weight {extra!r}")
 
     # -- construction / persistence -------------------------------------
 

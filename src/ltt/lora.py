@@ -149,6 +149,9 @@ class AdaptedEncoder:
                 arrays[name] = arrays[name].astype(t.dtype)
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"adapter {name!r} in {path} holds a non-finite value")
+        extra = next((n for n in arrays if n not in self.trainables), None)
+        if extra is not None:
+            raise ValueError(f"adapter checkpoint has unexpected entry {extra!r}")
         self.baseline = {name: arrays[name] for name in self.trainables}
         self.reset(None)
 

@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode autodiff on a per-episode tape.
 
-Every op is a plain function returning a new Tensor. When a Tape is active and
-an input is grad-tracked, the result gets a graph node whose closure holds only
-the arrays its gradient reads; backward() walks the nodes in reverse topological
-order and frees them as it goes. Outside a tape ops are pure numpy forwards.
+Every op is a plain function returning a new Tensor. When a Tape is open and
+an input is grad-tracked, the result gets a graph node, kept on the tape in the
+order made, whose closure holds only the arrays its gradient reads; backward()
+replays the tape's nodes in reverse and frees them as it goes. Outside a tape
+ops are pure numpy forwards.
 """
 
 from __future__ import annotations
@@ -27,32 +28,40 @@ class ShapeError(ValueError):
     pass
 
 
-_stack: list = []  # open tapes, innermost last
-
-
 class Tape:
-    """Records what was done while active: `num_nodes` graph nodes, and in
-    `counts` what the image forward encoded (full/masked views and tokens).
+    """Records what was done while open: in `nodes` the graph nodes in the order
+    made, and in `counts` what the image forward encoded (full/masked views and tokens).
 
-    One tape per episode/step. The graph hangs off the tensors, not the tape,
-    and backward() frees it as it walks it.
+    One tape per episode/step, and one open at a time. backward() replays the
+    nodes in reverse; closing the tape spends every node left, so no graph
+    spans or outlives its tape.
     """
 
+    _open: Optional["Tape"] = None  # the one open tape
+
     def __init__(self):
-        self.num_nodes = 0
+        self.nodes: list[_Node] = []
         self.counts: Counter = Counter()
 
+    @property
+    def num_nodes(self) -> int:
+        return len(self.nodes)
+
     def __enter__(self) -> "Tape":
-        _stack.append(self)
+        if Tape._open is not None:
+            raise RuntimeError("a tape is already open")
+        Tape._open = self
         return self
 
     def __exit__(self, *exc):
-        _stack.pop()
+        Tape._open = None
+        for node in self.nodes:
+            node.grad, node.backward, node.parents = None, None, ()
         return False
 
 
 def active_tape() -> Optional[Tape]:
-    return _stack[-1] if _stack else None
+    return Tape._open
 
 
 class _Node:
@@ -64,7 +73,7 @@ class _Node:
         self.backward, self.parents, self.grad = backward, parents, None
 
     def _tracked(self) -> bool:
-        return self.backward is not None  # a walked node is spent
+        return self.backward is not None  # a walked node, or one whose tape closed, is spent
 
 
 class Tensor:
@@ -117,11 +126,10 @@ def _coerce(x, like: Tensor) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
-    out = Tensor(data)
-    tape = active_tape()
+    out, tape = Tensor(data), Tape._open
     if tape is not None and any(p._tracked() for p in parents):
         out._node = _Node(backward, tuple(p._graph_ref() for p in parents))
-        tape.num_nodes += 1
+        tape.nodes.append(out._node)
     return out
 
 
@@ -233,26 +241,21 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return buf[0]
 
 
-def mean(a: Tensor, axis=None) -> Tensor:
+def mean(a: Tensor, axis: int) -> Tensor:
     data = a.data.mean(axis=axis)
-    count = a.data.size if axis is None else a.data.shape[axis]
     shape = a.shape
 
     def backward(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape) / count,)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape) / shape[axis],)
 
     return _make(data, (a,), backward)
 
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    data = a.data.sum(axis=axis)
+def tsum(a: Tensor) -> Tensor:  # of every element
+    data = a.data.sum()
     shape = a.shape
 
     def backward(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
     return _make(data, (a,), backward)
@@ -528,33 +531,19 @@ def exp(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate .grad on every tracked leaf reachable from `loss` and consume the
-    graph: a node's grad, closure and parents are released once its closure has
-    run, so the arrays it holds are freed as the walk goes and a second walk raises."""
+    """Populate .grad on every tracked leaf reachable from `loss` by replaying the
+    open tape in reverse, which visits each node after every node that reads it.
+    A node's grad, closure and parents are released once its closure has run, so
+    the arrays it holds are freed as the walk goes and a second walk raises."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._node is None or not loss._node._tracked():
         raise ShapeError("backward: loss has no graph (untracked, or already walked)")
 
-    topo: list[_Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[_Node, bool]] = [(loss._node, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:  # leaves, untracked inputs and walked nodes end the walk
-            if type(p) is _Node and p._tracked() and id(p) not in seen:
-                stack.append((p, False))
-
     loss._node.grad = np.ones_like(loss.data)
-    while topo:
-        node = topo.pop()
+    for node in reversed(Tape._open.nodes):
+        if node.grad is None:  # off this loss's path, or spent
+            continue
         closure, g_out, parents = node.backward, node.grad, node.parents
         node.grad, node.backward, node.parents = None, None, ()
         grads = closure(g_out)

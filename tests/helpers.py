@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ltt.serial import read_checkpoint, write_checkpoint
-from ltt.tensor import Tape, Tensor, backward
+from ltt.tensor import Tape, Tensor, active_tape, backward
 
 
 def numeric_grad(loss_fn, leaf: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -41,29 +41,13 @@ def analytic_grad(loss_builder, leaves: list[Tensor]) -> list[np.ndarray]:
 
 
 def reference_backward(loss: Tensor):
-    """The walk `backward` must match bit for bit: the same reverse
-    topological order over the graph nodes, but every first gradient is
-    copied and the graph is kept whole. A node's parents are nodes, tracked
-    leaf tensors (which end the walk) or None for an untracked input."""
-    topo: list = []
-    seen: set[int] = set()
-    stack: list[tuple] = [(loss._node, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if p is not None and not isinstance(p, Tensor) and id(p) not in seen:
-                stack.append((p, False))
-
+    """The walk `backward` must match bit for bit: the open tape's nodes in
+    reverse, but every first gradient is copied and the graph is kept whole.
+    A node's parents are nodes, tracked leaf tensors or None for an untracked
+    input."""
     loss._node.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node.backward is None:
+    for node in reversed(active_tape().nodes):
+        if node.grad is None:  # off this loss's path
             continue
         grads = node.backward(node.grad)
         for parent, g in zip(node.parents, grads):

@@ -231,7 +231,7 @@ def test_adapter_checkpoint_round_trip(tiny_model, tmp_path):
     assert np.array_equal(b.data, c.data)
 
 
-@pytest.mark.parametrize("edit", ["b_shape", "scale", "matrices", "no_meta"])
+@pytest.mark.parametrize("edit", ["b_shape", "scale", "matrices", "no_meta", "extra"])
 def test_adapter_checkpoint_checked_before_loading(tiny_model, tmp_path, edit):
     path = tmp_path / "adapters.lttw"
     AdaptedEncoder(tiny_model, LoraConfig(rank=2), np.random.default_rng(21)).save_adapters(path)
@@ -243,12 +243,15 @@ def test_adapter_checkpoint_checked_before_loading(tiny_model, tmp_path, edit):
         arrays["meta.lora"][1] = 2.0
     elif edit == "matrices":
         arrays["meta.lora"][2] = 2.0
-    else:
+    elif edit == "no_meta":
         del arrays["meta.lora"]
+    else:  # an entry the run has no adapter for
+        arrays["bogus"] = np.full(5, np.nan, np.float32)
     write_checkpoint(path, arrays)
     fresh = AdaptedEncoder(tiny_model, LoraConfig(rank=2), np.random.default_rng(23))
     before = [t.data.copy() for t in fresh.trainables.values()]
-    with pytest.raises(ValueError, match="lora_b" if edit == "b_shape" else "rank"):
+    named = {"b_shape": "lora_b", "extra": "unexpected entry 'bogus'"}.get(edit, "rank")
+    with pytest.raises(ValueError, match=named):
         fresh.load_adapters(path)
     assert all(np.array_equal(t.data, q) for t, q in zip(fresh.trainables.values(), before))
     assert fresh.baseline is None

@@ -214,6 +214,66 @@ def test_mae_loss_stops_the_gradient_at_a_handed_in_target(setup, target):
     assert any(np.any(t.grad != 0) for t in adapted.trainables.values() if t.grad is not None)
 
 
+def depth_first_backward(loss: Tensor):
+    """The walk backward made before it replayed the tape, as a bit oracle: a
+    depth-first topological sort from the loss, then its nodes in reverse,
+    every first gradient copied."""
+    topo, seen, stack = [], set(), [(loss._node, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if p is not None and not isinstance(p, Tensor) and id(p) not in seen:
+                stack.append((p, False))
+
+    loss._node.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        grads = node.backward(node.grad)
+        for parent, g in zip(node.parents, grads):
+            if g is None or parent is None or not parent._tracked():
+                continue
+            g = np.asarray(g)
+            if parent.grad is None:
+                parent.grad = g.copy()
+            else:
+                parent.grad += g
+
+
+@pytest.mark.parametrize("target", ["class_token", "visual_tokens"])
+def test_tape_replay_keeps_the_bits_of_the_depth_first_walk(setup, target):
+    # each block's first layer norm feeds three projections, and its gradient adds their
+    # shares in the order the walk reaches them: q, k, v in both walks
+    model, table, items = setup
+    views = make_views(items[0].image, 16, np.random.default_rng(8), model.norm_mean,
+                       model.norm_std, 32)
+
+    def adapter_grads(walk) -> dict:
+        adapted = nonzero_adapters(model)
+        with Tape():  # one lora_ttt step's loss
+            cls_all, tok_all = adapted.encode_image_batch(views)
+            probs = classify_batch(cls_all, table, model.tau)
+            sel = select_confident(probs.data, 0.25)
+            unmasked = (T.index_select(cls_all, sel, axis=0),
+                        T.index_select(tok_all, sel, axis=0) if target == "visual_tokens"
+                        else None)
+            l_mae = mae_loss(adapted, views[sel], 0.5, target, np.random.default_rng(9),
+                             unmasked=unmasked)
+            walk(total_loss(mem_loss(T.index_select(probs, sel, axis=0)), l_mae, 1.0, 16.0))
+        return {name: t.grad for name, t in adapted.trainables.items()}
+
+    got, want = adapter_grads(backward), adapter_grads(depth_first_backward)
+    assert len(want) == 16 and got.keys() == want.keys()
+    for name, g in want.items():
+        assert (got[name].dtype, got[name].shape) == (g.dtype, g.shape), name
+        assert got[name].tobytes() == g.tobytes(), name
+
+
 def test_mae_loss_empty_selection(setup):
     model, _, _ = setup
     adapted = AdaptedEncoder(model, LoraConfig(rank=2), np.random.default_rng(0))
