@@ -574,6 +574,7 @@ CASES = {
     "linear": (lambda x, w, b: T.linear(x, w, b), [(2, 3, 4), (5, 4), (5,)]),
     "linear_no_bias": (lambda x, w: T.linear(x, w), [(3, 4), (2, 4)]),
     "mean_axis": (lambda a: T.mean(a, axis=0), [(3, 4)]),
+    "sum": (lambda a: T.tsum(a), [(3, 4)]),
     "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
     "index_select": (lambda a: T.index_select(a, [2, 0, 2], axis=0), [(3, 4)]),
     "slice": (lambda a: T.slice_axis(a, 1, 1, 3), [(2, 4)]),
