@@ -187,8 +187,7 @@ def _block(x: Tensor, p: dict, prefix: str, num_heads: int) -> Tensor:
                           p[f"{prefix}.attn.bo"]))
 
     h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-    h = T.gelu(T.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"]))
-    return T.add(x, T.linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"]))
+    return T.add(x, T.mlp(h, *(p[f"{prefix}.mlp.{n}"] for n in ("w1", "b1", "w2", "b2"))))
 
 
 class ClipModel:

@@ -59,6 +59,8 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     views stay in-distribution. Returns the trained (frozen) model and the
     per-step loss trace.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     keep_freed_memory()
     root = Path(data_dir)
     manifest = DatasetManifest.load(root / "manifest.json")
@@ -77,6 +79,7 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
     mean = np.asarray(manifest.normalization["mean"], dtype=np.float32)
     std = np.asarray(manifest.normalization["std"], dtype=np.float32)
     model.set_normalization(mean, std)
+    del manifest  # nothing else of it is read
 
     captions = sorted({c for _, c in pairs})
     caption_ids = [vocab.encode(c) for c in captions]
@@ -102,14 +105,14 @@ def pretrain(data_dir, vit_cfg: VitConfig | None = None, epochs: int = 30,
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             idx = order[b * batch_size:(b + 1) * batch_size]
-            crops = random_resized_crop(np.stack([raw_images[i] for i in idx]), rng,
-                                        vit_cfg.image_size, PRETRAIN_CROP_RANGE)
-            batch_imgs = normalize(crops, mean, std)
             lr = PRETRAIN_LR * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
             opt_w.lr = lr
             opt_b.lr = lr
             with Tape():
-                cls, _ = model.encode_image_batch(batch_imgs)
+                # the crops, the normalized batch and the token output are freed before backward
+                cls = model.encode_image_batch(normalize(random_resized_crop(
+                    np.stack([raw_images[i] for i in idx]), rng, vit_cfg.image_size,
+                    PRETRAIN_CROP_RANGE), mean, std))[0]
                 img_emb = T.l2_normalize(cls)
                 txt_all = _encode_captions(model, caption_ids)
                 txt_emb = T.index_select(txt_all, pair_caption[idx], axis=0)
@@ -138,6 +141,8 @@ def lora_pretrain(model: ClipModel, pairs: list[tuple[np.ndarray, str]], epochs:
     """
     if not pairs:
         raise ValueError("empty image-text pair set")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     encoder = AdaptedEncoder(model, lora_cfg or LoraConfig(), rng)
     scale = 1.0 / model.tau
     # one caption per forward, unlike _encode_captions: a batched row differs

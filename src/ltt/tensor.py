@@ -202,13 +202,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def _check_weight(op: str, x_shape: tuple, x_dtype, w: Tensor, b: Optional[Tensor]):
+    if x_dtype != w.dtype:
+        raise ShapeError(f"{op}: dtype mismatch {x_dtype} vs {w.dtype}")
+    if len(x_shape) < 2 or w.ndim != 2 or x_shape[-1] != w.shape[1]:
+        raise ShapeError(f"{op}: cannot apply weight {w.shape} to {x_shape}")
+    if b is not None and (b.shape != w.shape[:1] or b.dtype != w.dtype):
+        raise ShapeError(f"{op}: bias {b.shape} {b.dtype} does not fit weight {w.shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """x @ w.T (+ b) as one node; w is stored (out, in), b is (out,)."""
-    _check_same_dtype("linear", x, w)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear: cannot apply weight {w.shape} to {x.shape}")
-    if b is not None and (b.shape != w.shape[:1] or b.dtype != w.dtype):
-        raise ShapeError(f"linear: bias {b.shape} {b.dtype} does not fit weight {w.shape}")
+    _check_weight("linear", x.shape, x.dtype, w, b)
     data = x.data @ w.data.T
     if b is not None:
         data += b.data
@@ -336,13 +341,13 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def gelu(a: Tensor) -> Tensor:
-    # tanh approximation, fixed so outputs agree across implementations: 0.5 * x * (1 + t),
-    # t = tanh(K0 * (x + K1 * x^3)), and for a tracked input the slope 0.5 * (1 + t) + 0.5 * x *
-    # (1 - t^2) * K0 * (1 + 3 * K1 * x^2); in this order, in place, one block at a time
-    x = a.data
+def _gelu(x: np.ndarray, slope: Optional[np.ndarray] = None) -> np.ndarray:
+    """gelu's tanh approximation as a new C-ordered array, fixed so outputs agree across
+    implementations: 0.5 * x * (1 + t), t = tanh(K0 * (x + K1 * x^3)). Given a C-ordered
+    `slope` of x's shape, x itself allowed, the slope 0.5 * (1 + t) + 0.5 * x * (1 - t^2) *
+    K0 * (1 + 3 * K1 * x^2) is written there; in this order, in place, one block at a time,
+    each block's slope after that block's last read of x."""
     data = np.empty(x.shape, x.dtype)  # C order, so the flat views below write into it
-    slope = np.empty(x.shape, x.dtype) if active_tape() is not None and a._tracked() else None
     xs, ds, ss = (None if y is None else y.reshape(-1) for y in (x, data, slope))
     t, u, v = (np.empty(min(BLOCK, x.size), x.dtype) for _ in range(3))
     for i in range(0, x.size, BLOCK):
@@ -364,12 +369,36 @@ def gelu(a: Tensor) -> Tensor:
         tb *= GELU_K0
         tb *= vb
         np.add(tb, ub, out=ss[i:i + BLOCK])
+    return data
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1.T + b1) @ w2.T + b2 as one node. The closure keeps the pre-activation u
+    when w2 is tracked, and backward recomputes gelu's value and slope from it; with only
+    x, w1 or b1 tracked the forward writes the slope over u and keeps that instead."""
+    _check_weight("mlp", x.shape, x.dtype, w1, b1)
+    _check_weight("mlp", (*x.shape[:-1], w1.shape[0]), w1.dtype, w2, b2)
+    need_x, need_w1, need_b1, need_w2, need_b2 = (
+        Tape._open is not None and p._tracked() for p in (x, w1, b1, w2, b2))
+    need_u = need_x or need_w1 or need_b1  # the hidden's gradient
+    u = x.data @ w1.data.T
+    u += b1.data
+    data = _gelu(u, u if need_u and not need_w2 else None) @ w2.data.T
+    data += b2.data
+    kept = u if need_u or need_w2 else None
+    x_data, w1_data = (x.data if need_w1 else None), (w1.data if need_x else None)
+    w2_data, b1_shape, b2_shape = (w2.data if need_u else None), b1.shape, b2.shape
 
     def backward(g):
-        # backward runs a closure once, so the slope can become the gradient
-        return (np.multiply(slope, g, out=slope),)
+        # backward runs a closure once, so u can become the slope, then the hidden's gradient
+        gw2 = _weight_grad(_gelu(kept, kept if need_u else None), g).T if need_w2 else None
+        gu = np.multiply(kept, g @ w2_data, out=kept) if need_u else None
+        return (gu @ w1_data if need_x else None,
+                _weight_grad(x_data, gu).T if need_w1 else None,
+                _unbroadcast(gu, b1_shape) if need_b1 else None, gw2,
+                _unbroadcast(g, b2_shape) if need_b2 else None)
 
-    return _make(data, (a,), backward)
+    return _make(data, (x, w1, b1, w2, b2), backward)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -1,7 +1,8 @@
 """Shared oracles: central finite differences, relative-error metrics, a
 backward walk that copies every gradient and releases nothing, attention as
-the numpy calls of the 13 ops it once was, the keep rows of masked views,
-the per-crop view path (one 2-D bilinear gather per crop) that the batched
+the numpy calls of the 13 ops it once was, gelu as plain expressions and the
+MLP as the numpy calls of its 3 ops, the keep rows of masked views, the
+per-crop view path (one 2-D bilinear gather per crop) that the batched
 crop pass must match bit for bit, and checkpoints whose weights are off
 their layout."""
 
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from ltt.serial import read_checkpoint, write_checkpoint
-from ltt.tensor import Tape, Tensor, active_tape, backward
+from ltt.tensor import GELU_K0, GELU_K1, Tape, Tensor, active_tape, backward
 
 
 def numeric_grad(loss_fn, leaf: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -86,6 +87,35 @@ def attention_reference(q, k, v, num_heads: int, g):
     gq = gs @ np.swapaxes(kt, -1, -2)
     gkt = np.swapaxes(qh, -1, -2) @ gs
     return out, [merge(gq), merge(np.transpose(gkt, (0, 1, 3, 2)).copy()), merge(gv)]
+
+
+def gelu_expr(x, g):
+    """gelu's tanh approximation of x and, for output gradient g, [g * slope], each
+    from one plain expression."""
+    t_ = np.tanh(GELU_K0 * (x + GELU_K1 * (x * x * x)))
+    d_inner = GELU_K0 * (1.0 + 3.0 * GELU_K1 * (x * x))
+    dgdx = 0.5 * (1.0 + t_) + 0.5 * x * (1.0 - t_ * t_) * d_inner
+    return 0.5 * x * (1.0 + t_), [g * dgdx]
+
+
+def mlp_reference(x, w1, b1, w2, b2, g):
+    """Output and (x, w1, b1, w2, b2) gradients, for output gradient g, of
+    gelu(x w1ᵀ + b1) w2ᵀ + b2 over a (..., d) x, computed as the numpy calls of the
+    linear, gelu and linear ops it once was, gelu as `gelu_expr`: each gradient from
+    the operands those ops held."""
+    lead = tuple(range(x.ndim - 1))
+
+    def weight_grad(inp, gout):  # Σ over the leading indices of inpᵀ gout, as (out, in)
+        stack = np.swapaxes(inp, -1, -2) @ gout
+        return stack.sum(axis=tuple(range(stack.ndim - 2))).T
+
+    u = x @ w1.T
+    u += b1
+    a, (gu,) = gelu_expr(u, g @ w2)
+    y = a @ w2.T
+    y += b2
+    return y, [gu @ w1, weight_grad(x, gu), gu.sum(axis=lead), weight_grad(a, g),
+               g.sum(axis=lead)]
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

@@ -72,6 +72,14 @@ def test_pretrain_batch_larger_than_dataset(mini_data):
                  epochs=1, batch_size=10_000)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_pretrain_rejects_a_batch_size_below_1(mini_data, batch_size):
+    # 0 once divided by zero, and -1 trained one step on all images but one
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        pretrain(mini_data[0], VitConfig(embed_dim=32, num_layers=2, out_dim=32), epochs=1,
+                 batch_size=batch_size)
+
+
 def test_pretrain_rejects_training_images_of_two_sizes(mini_data, tmp_path):
     data_dir, manifest = mini_data
     shutil.copytree(data_dir, tmp_path / "data")

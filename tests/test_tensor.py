@@ -7,13 +7,20 @@ import pytest
 from ltt import tensor as T
 from ltt.tensor import ShapeError, Tape, Tensor, backward
 
-from helpers import attention_reference, check_gradients, reference_backward
+from helpers import (attention_reference, check_gradients, gelu_expr, mlp_reference,
+                     reference_backward)
 
 F64 = np.float64
 
 
 def t(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=F64), requires_grad=grad)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """gelu alone, as an mlp node with frozen identity weights and zero biases."""
+    eye, zero = Tensor(np.eye(a.shape[-1], dtype=a.dtype)), Tensor(np.zeros(a.shape[-1], a.dtype))
+    return T.mlp(a, eye, zero, eye, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +74,7 @@ def test_finite_outputs_on_moderate_inputs():
     x = t(rng.uniform(-1e3, 1e3, size=(4, 6)))
     g = t(np.ones(6))
     b = t(np.zeros(6))
-    for out in (T.softmax(x), T.log_softmax(x), T.gelu(x),
+    for out in (T.softmax(x), T.log_softmax(x), gelu(x),
                 T.l2_normalize(x), T.layer_norm(x, g, b)):
         assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(T.l2_normalize(t(np.zeros(5))).data))
@@ -109,7 +116,7 @@ def test_backward_deterministic():
     for _ in range(2):
         x = t(xv, grad=True)
         with Tape():
-            loss = T.tsum(T.mul(T.softmax(T.gelu(x)), x))
+            loss = T.tsum(T.mul(T.softmax(gelu(x)), x))
             backward(loss)
         grads.append(x.grad.copy())
     assert np.array_equal(grads[0], grads[1])
@@ -152,13 +159,6 @@ def same_bits(a, b) -> bool:
         a.view(np.uint8), b.view(np.uint8))
 
 
-def gelu_expr(x, g):
-    t_ = np.tanh(T.GELU_K0 * (x + T.GELU_K1 * (x * x * x)))
-    d_inner = T.GELU_K0 * (1.0 + 3.0 * T.GELU_K1 * (x * x))
-    dgdx = 0.5 * (1.0 + t_) + 0.5 * x * (1.0 - t_ * t_) * d_inner
-    return 0.5 * x * (1.0 + t_), [g * dgdx]
-
-
 def layer_norm_expr(x, gamma, beta, g):
     mu = x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + T.LAYERNORM_EPS)
@@ -176,7 +176,7 @@ def softmax_expr(x, g):
     return p, [p * (g - (g * p).sum(axis=-1, keepdims=True))]
 
 
-KERNELS = {"gelu": (T.gelu, gelu_expr, 0), "layer_norm": (T.layer_norm, layer_norm_expr, 2),
+KERNELS = {"layer_norm": (T.layer_norm, layer_norm_expr, 2),
            "softmax": (T.softmax, softmax_expr, 0)}
 
 
@@ -199,27 +199,40 @@ def test_kernels_match_plain_expressions_bitexact(name, dtype):
             assert same_bits(leaf.grad, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_kernel_matches_the_plain_expression_bitexact(dtype):
+    # the slope times g is the gradient the mlp node hands on, formed as it forms it
+    rng = np.random.default_rng(21)
+    for shape, scale in [((64, 17, 64), 1.0), ((6, 4, 17, 17), 8.0), ((3, 8), 30.0)]:
+        x = rng.normal(0, scale, shape).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        slope = np.empty_like(x)
+        y = T._gelu(x, slope)
+        want_y, (want_grad,) = gelu_expr(x, g)
+        assert same_bits(y, want_y) and same_bits(np.multiply(slope, g), want_grad)
+
+
 @pytest.mark.parametrize("tracked", [True, False])
 @pytest.mark.parametrize("size", [T.BLOCK - 1, T.BLOCK, T.BLOCK + 1, 2 * T.BLOCK + 1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_gelu_slope_blocks_keep_the_bits_of_the_plain_expression(transposed, dtype, size,
                                                                   tracked):
+    # tracked: the kernel also writes the slope, into a new array and over its own input
     rng = np.random.default_rng(size)
     # transposed: a (2, size) Fortran-ordered input, whose temporaries follow its memory order
     x = rng.normal(0, 3.0, (size, 2) if transposed else size).astype(dtype)
     x = x.T if transposed else x
     g = rng.normal(size=x.shape).astype(dtype)
-    leaf = Tensor(x.copy(order="K"), requires_grad=tracked)
-    assert leaf.data.flags.c_contiguous != transposed
-    with Tape():
-        y = T.gelu(leaf)
-        assert (y._node is not None) == tracked
-        if tracked:
-            backward(T.tsum(T.mul(y, Tensor(g))))
+    assert x.flags.c_contiguous != transposed
+    slope = np.empty(x.shape, dtype) if tracked else None
+    y = T._gelu(x, slope)
     want_y, (want_grad,) = gelu_expr(x, g)
-    assert same_bits(y.data, want_y)
-    assert same_bits(leaf.grad, want_grad) if tracked else leaf.grad is None
+    assert same_bits(y, want_y)
+    if tracked:
+        assert same_bits(np.multiply(slope, g), want_grad)
+        own = np.array(x, order="C")  # a C-ordered copy, also of a transposed input
+        assert same_bits(T._gelu(own, own), want_y) and same_bits(own, slope)
 
 
 def gelu_two_pass(x):
@@ -249,15 +262,15 @@ def test_gelu_keeps_the_bits_of_the_two_pass_kernel(shape, transposed, dtype):
     x = rng.normal(0, 3.0, shape[::-1] if transposed else shape).astype(dtype)
     x = x.T if transposed else x  # a Fortran-ordered input
     g = rng.normal(size=x.shape).astype(dtype)
-    leaf = Tensor(x.copy(order="K"), requires_grad=True)
-    assert leaf.data.flags.c_contiguous != transposed
-    with Tape():
-        y = T.gelu(leaf)
-        backward(T.tsum(T.mul(y, Tensor(g))))  # y's gradient is g, bit for bit
+    assert x.flags.c_contiguous != transposed
+    slope = np.empty(shape, dtype)
+    y = T._gelu(x, slope)
     want_y, want_slope = gelu_two_pass(np.ascontiguousarray(x))
-    assert same_bits(y.data, want_y.reshape(shape)) and type(y.data) is np.ndarray
-    assert same_bits(leaf.grad, (want_slope * g.reshape(-1)).reshape(shape))
-    assert same_bits(T.gelu(Tensor(x)).data, y.data)  # no tape: the value alone
+    assert same_bits(y, want_y.reshape(shape)) and type(y) is np.ndarray
+    assert same_bits(np.multiply(slope, g), (want_slope * g.reshape(-1)).reshape(shape))
+    assert same_bits(T._gelu(x), y)  # the value alone
+    own = np.array(x, order="C")  # the slope written over its own input
+    assert same_bits(T._gelu(own, own), y) and same_bits(own, slope)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -309,7 +322,8 @@ def test_linear_weight_gradient_allocates_less_than_the_stack_of_products():
 def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
     rng = np.random.default_rng(23)
     shapes = {"x": (4, 17, 32), "w": (24, 32), "b": (24,), "gamma": (24,), "beta": (24,),
-              "c": (24,)}
+              "w1": (40, 24), "b1": (40,), "w2": (24, 40), "b2": (24,), "c": (24,)}
+    # frozen w2: the mlp node keeps gelu's slope in place of its pre-activation
     values = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
 
     def run(frozen):
@@ -317,7 +331,8 @@ def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
         with Tape():
             nodes = [T.linear(leaves["x"], leaves["w"], leaves["b"])]
             nodes.append(T.layer_norm(nodes[-1], leaves["gamma"], leaves["beta"]))
-            nodes.append(T.mul(T.gelu(nodes[-1]), leaves["c"]))
+            mlp = T.mlp(nodes[-1], *(leaves[k] for k in ("w1", "b1", "w2", "b2")))
+            nodes.append(T.mul(mlp, leaves["c"]))
             nodes.append(T.add(nodes[-1], leaves["c"]))
             nodes.append(T.mul(nodes[-1], 0.5))  # a scalar constant
             for out in nodes:  # each closure skips exactly its untracked parents
@@ -327,10 +342,11 @@ def test_frozen_parents_get_no_gradient_and_tracked_ones_keep_their_bits():
             backward(T.tsum(nodes[-1]))
         return {k: leaf.grad for k, leaf in leaves.items()}
 
+    frozen = ("b", "gamma", "beta", "w2", "b2", "c")
     full = run(frozen=())
-    part = run(frozen=("b", "gamma", "beta", "c"))
+    part = run(frozen)
     for k in shapes:
-        assert part[k] is None if k in ("b", "gamma", "beta", "c") else same_bits(part[k], full[k])
+        assert part[k] is None if k in frozen else same_bits(part[k], full[k])
         assert full[k] is not None
 
 
@@ -364,6 +380,37 @@ def test_attention_matches_the_op_composition_bitexact(tracked, dtype):
             assert same_bits(leaf.grad, want) if m in tracked else leaf.grad is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tracked", ["all", "x", "none"])
+def test_mlp_matches_the_three_op_composition_bitexact(tracked, dtype):
+    # all: pretraining, which keeps the pre-activation; x: an episode's frozen MLP, which
+    # keeps gelu's slope; none: no node
+    rng = np.random.default_rng(53)
+    for x_shape, hidden in [((16, 17, 64), 256), ((2, 3, 5, 8), 12), ((3, 5), 7)]:
+        d = x_shape[-1]
+        shapes = [x_shape, (hidden, d), (hidden,), (d, hidden), (d,)]
+        arrays = [rng.normal(0, 1 if i == 0 else 0.2, s).astype(dtype)
+                  for i, s in enumerate(shapes)]
+        g = rng.normal(size=x_shape).astype(dtype)
+        leaves = [Tensor(a.copy(), requires_grad=tracked == "all" or (tracked, i) == ("x", 0))
+                  for i, a in enumerate(arrays)]
+        with Tape():
+            y = T.mlp(*leaves)
+            assert (y._node is None) == (tracked == "none")
+            if y._node is not None:  # the closure's arrays: what the tracked gradients read
+                held = [c.cell_contents for c in y._node.backward.__closure__
+                        if isinstance(c.cell_contents, np.ndarray)]
+                u_shape = (*x_shape[:-1], hidden)
+                keeps = shapes[:2] + [u_shape] + shapes[3:4] if tracked == "all" else [
+                    shapes[1], u_shape, shapes[3]]
+                assert sorted(a.shape for a in held) == sorted(keeps)
+                backward(T.tsum(T.mul(y, Tensor(g))))  # y's gradient is g, bit for bit
+        want_y, want_grads = mlp_reference(*arrays, g)
+        assert same_bits(y.data, want_y)
+        for leaf, want in zip(leaves, want_grads):
+            assert same_bits(leaf.grad, want) if leaf.requires_grad else leaf.grad is None
+
+
 # ---------------------------------------------------------------------------
 # backward consumes its graph
 
@@ -386,7 +433,7 @@ def test_backward_frees_interior_nodes_and_a_second_walk_raises():
     x, w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                for s in [(3, 5, 8), (6, 8), (6,)])
     with Tape():
-        h = T.gelu(T.linear(x, w, b))
+        h = T.exp(T.linear(x, w, b))
         loss = T.tsum(T.mul(T.softmax(h), T.add(h, h)))
         nodes = graph_nodes(loss)
         interior = [n for n in nodes if not isinstance(n, Tensor)]
@@ -416,9 +463,10 @@ def test_forward_frees_the_arrays_backward_does_not_read(monkeypatch):
                for n, s, _ in param_layout(VitConfig(), TextConfig(vocab_size=4))
                if n.startswith(("img.layers.0.", "img.layers.1."))}
     x = Tensor(rng.normal(size=(8, 17, 64)).astype(np.float32))
-    freed = {"add": [], "frozen_linear_input": []}
+    freed = {"add": [], "mlp_input": []}
     held = []  # per attention node: its closure's own arrays, and whether its views are q, k, v
-    add, attention, linear = T.add, T.attention, T.linear
+    mlp_held = []  # per mlp node: the shapes of its closure's arrays, and whether w1, w2 are two
+    add, attention, mlp = T.add, T.attention, T.mlp
 
     def traced_add(a, b):
         out = add(a, b)
@@ -434,27 +482,33 @@ def test_forward_frees_the_arrays_backward_does_not_read(monkeypatch):
                      bases == {id(x.data) for x in (q, k, v)}))
         return out
 
-    def traced_linear(h, w, b=None):
-        if not w.requires_grad:
-            freed["frozen_linear_input"].append(weakref.ref(h.data))
-        return linear(h, w, b)
+    def traced_mlp(h, w1, b1, w2, b2):
+        out = mlp(h, w1, b1, w2, b2)
+        freed["mlp_input"].append(weakref.ref(h.data))
+        cells = [c.cell_contents for c in out._node.backward.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        mlp_held.append((sorted(a.shape for a in cells),
+                         {id(w1.data), id(w2.data)} < {id(a) for a in cells}))
+        return out
 
     monkeypatch.setattr(T, "add", traced_add)
     monkeypatch.setattr(T, "attention", traced_attention)
-    monkeypatch.setattr(T, "linear", traced_linear)
+    monkeypatch.setattr(T, "mlp", traced_mlp)
     with Tape():
         h = x
         for i in range(2):
             h = _block(h, weights, f"img.layers.{i}", num_heads=4)
         loss = T.tsum(T.mul(h, h))
         last = freed["add"].pop()  # the block output, which h still holds
-        # per block: two residual adds and the MLP's two inputs
-        assert [len(refs) for refs in freed.values()] == [3, 4]
+        # per block: two residual adds and the MLP's input
+        assert [len(refs) for refs in freed.values()] == [3, 2]
         for kind, refs in freed.items():
             assert all(ref() is None for ref in refs), kind
         # the attention node keeps the probabilities, the scale and a head view of
         # each tracked input, but no scores or per-head context array
         assert held == [([(), (8, 4, 17, 17)], True)] * 2
+        # the frozen mlp node keeps its two weights and gelu's slope over its pre-activation
+        assert mlp_held == [([(8, 17, 256), (64, 256), (256, 64)], True)] * 2
         assert last() is h.data
         assert loss._tracked()  # the graph is alive, and still walks
         backward(loss)
@@ -505,6 +559,7 @@ ALIASING = {
     "reshape_transpose": (lambda a: transpose(T.reshape(a, (6, 4))), [(4, 3, 2)]),
     "attention": (lambda q, k, v: T.attention(q, k, v, 2), [(2, 3, 4)] * 3),
     "linear": (lambda x, w, b: T.linear(x, w, b), [(2, 4, 5), (6, 5), (6,)]),
+    "mlp": (lambda x, *w: T.mlp(x, *w), [(2, 4, 5), (6, 5), (6,), (5, 6), (5,)]),
     "mul_same_leaf": (lambda x: T.mul(x, x), [(4, 6)]),
 }
 
@@ -523,7 +578,7 @@ def test_adopted_gradients_match_a_walk_that_copies_every_gradient(name):
             # y reaches the loss twice and every leaf once more on its own, so
             # an adopted array is accumulated into after it was handed over
             half = Tensor(np.full(y.shape, 0.5, np.float32))
-            loss = T.tsum(T.mul(T.add(T.gelu(y), T.mul(y, y)), half))
+            loss = T.tsum(T.mul(T.add(T.exp(y), T.mul(y, y)), half))
             for leaf, c in zip(leaves, extra):
                 loss = T.add(loss, T.tsum(T.mul(leaf, Tensor(c))))
             walk(loss)
@@ -580,7 +635,8 @@ CASES = {
     "slice": (lambda a: T.slice_axis(a, 1, 1, 3), [(2, 4)]),
     "reshape_transpose": (lambda a: transpose(T.reshape(a, (2, 6))), [(3, 4)]),
     "broadcast_to": (lambda a: T.broadcast_to(a, (4, 2, 3)), [(1, 2, 3)]),
-    "gelu": (lambda a: T.gelu(a), [(3, 4)]),
+    "gelu": (gelu, [(3, 4)]),  # the mlp node's keep-slope path
+    "mlp": (lambda x, *w: T.mlp(x, *w), [(2, 3, 4), (5, 4), (5,), (4, 5), (4,)]),
     "layer_norm": (lambda a, g, b: T.layer_norm(a, g, b), [(3, 4), (4,), (4,)]),
     "softmax": (lambda a: T.softmax(a), [(3, 4)]),
     "log_softmax": (lambda a: T.log_softmax(a, axis=-1), [(3, 4)]),
@@ -643,6 +699,9 @@ def test_closures_hand_each_parent_a_gradient_of_its_shape_and_dtype(name, dtype
         for out in made.values():
             grads = out._node.backward(rng.normal(size=out.shape).astype(dtype))
             for parent, g in zip(out._node.parents, grads):
+                if parent is None:  # an untracked input, as gelu's frozen weights
+                    assert g is None
+                    continue
                 want = parent if isinstance(parent, Tensor) else made[id(parent)]
                 assert isinstance(g, (np.ndarray, np.generic)), (type(g), want.shape)
                 assert (g.shape, g.dtype) == (want.shape, want.dtype)

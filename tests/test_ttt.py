@@ -9,8 +9,9 @@ from ltt import tensor as T
 from ltt import ttt
 from ltt.data import Instance
 from ltt.encoder import (ClipModel, TextConfig, VitConfig, Vocab, build_text_table,
-                         classify_batch)
+                         classify_batch, contrastive_loss)
 from ltt.lora import AdaptedEncoder, LoraConfig, base_weight_hash
+from ltt.optim import AdamW
 from ltt.pretrain import lora_pretrain
 from ltt.serial import config_from_json
 from ltt.tensor import Tape, Tensor, backward
@@ -414,10 +415,11 @@ def test_tape_nodes_do_not_grow_with_selected_views(setup):
     assert nodes[0] == nodes[1]
 
 
-@pytest.mark.parametrize("mode,nodes", [("lora_ttt", 116), ("lora_ttt_a", 107),
-                                        ("full_tune", 68), ("lora_ttt_m", 61)])
+@pytest.mark.parametrize("mode,nodes", [("lora_ttt", 108), ("lora_ttt_a", 99),
+                                        ("full_tune", 60), ("lora_ttt_m", 57)])
 def test_peak_tape_nodes_per_mode(setup, mode, nodes):
-    # each adapted block's attention is one node; as 13 ops it gave 164, 155, 116 and 85
+    # each block's attention is one node and its MLP another; with the MLP as linear, gelu
+    # and linear it gave 116, 107, 68 and 61, and with attention as 13 ops 164, 155, 116, 85
     model, table, items = setup
     cfg = small_cfg(mode=mode)
     ep = run_episode(items[3], build_encoder_for_mode(model, cfg), table, cfg,
@@ -706,6 +708,15 @@ def test_lora_pretrain_empty_pairs(setup):
         lora_pretrain(model, [], 1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_lora_pretrain_rejects_a_batch_size_below_1(setup, batch_size):
+    # 0 once failed in range(), and -1 ran no step and returned untrained adapters
+    model, _, items = setup
+    pairs = [(it.image, "a photo of a red circle") for it in items[:4]]
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        lora_pretrain(model, pairs, 1, np.random.default_rng(0), batch_size=batch_size)
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -756,6 +767,36 @@ def test_config_validation_errors():
                 TttConfig(**{name: value})
     # zero lr and zero masking stay valid
     TttConfig(lr=0.0, wd=0.0, mask_ratio=0.0, num_views=1)
+
+
+def test_a_default_image_tower_training_step_allocates_at_most_20_mb():
+    # 64 images, every image-tower weight tracked and stepped as pretraining trains them;
+    # 22.3 MB while each MLP kept gelu's value and slope in place of its pre-activation
+    vocab = Vocab(["a"])
+    model = ClipModel.create(VitConfig(), TextConfig(vocab_size=len(vocab)), vocab, seed=0)
+    tower = {name: p for name, p in model.params.items() if name.startswith("img.")}
+    for p in tower.values():
+        p.requires_grad = True
+    opt = AdamW(tower, 1e-3, 0.1)
+    rng = np.random.default_rng(2)
+    images = rng.uniform(0, 1, (64, 3, 32, 32)).astype(np.float32)
+    text = rng.normal(size=(64, 64)).astype(np.float32)
+    text /= np.linalg.norm(text, axis=1, keepdims=True)
+
+    def step():
+        with Tape():
+            cls = model.encode_image_batch(images)[0]
+            backward(contrastive_loss(T.l2_normalize(cls), Tensor(text), 100.0))
+        opt.step()
+
+    step()  # warm: the moments are allocated
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak
 
 
 def test_a_default_lora_ttt_episode_allocates_at_most_15_mb():

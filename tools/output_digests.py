@@ -13,6 +13,7 @@ timing.
     python tools/output_digests.py                   # this tree's src/
     python tools/output_digests.py --src OTHER/src   # another checkout
     python tools/output_digests.py --keep DIR        # leave the outputs in DIR
+    python tools/output_digests.py --against A.json  # name the digests that differ from A.json
 
 Two `episodes.jsonl` files kept this way can be compared field by field
 with `tools/episode_diff.py`.
@@ -103,12 +104,20 @@ def digests(work: Path) -> dict:
     return dict(sorted(out.items()))
 
 
+def differing(ours: dict, theirs: dict) -> list[str]:
+    """The names whose digests differ between two digest maps, or that one map lacks."""
+    return sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                     help="directory holding the ltt package (default: this tree's src/)")
     ap.add_argument("--keep", type=Path, default=None,
                     help="write the workspace to this new directory and leave it there")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="a JSON printed by this tool for another tree: print the names of the "
+                         "digests that differ from it in place of the JSON, and exit 1 if any do")
     args = ap.parse_args(argv)
     if not (args.src / "ltt" / "__init__.py").is_file():
         ap.error(f"no ltt package under {args.src}")
@@ -118,8 +127,13 @@ def main(argv=None) -> int:
     work = (contextlib.nullcontext(args.keep) if args.keep is not None
             else tempfile.TemporaryDirectory(prefix="ltt-digests-"))
     with work as path:
-        print(json.dumps(digests(Path(path)), indent=1))
-    return 0
+        out = digests(Path(path))
+    if args.against is None:
+        print(json.dumps(out, indent=1))
+        return 0
+    names = differing(out, json.loads(args.against.read_text()))
+    print("\n".join(names + [f"{len(names)} of {len(out)} digests differ"]))
+    return 1 if names else 0
 
 
 if __name__ == "__main__":
